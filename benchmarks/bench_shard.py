@@ -17,41 +17,27 @@ per-group invariants, global linearizability, and cross-shard
 exactly-once.  Undecided checker verdicts are reported separately;
 real failures fail the benchmark.
 
-The third part measures the **parallel simulation backend**: the same
-steady-write workload on :class:`~repro.shard.ParallelShardedCluster`
-(one forked worker per group, conservative time windows) against the
-serial backend, in *wall-clock* terms.  Simulated results are
-byte-identical between the backends — the determinism suite pins that —
-so the wall-clock ratio is a pure speedup measurement.  The ≥2.5×
-target at G=4 only applies with ≥4 CPU cores; on smaller machines the
-measured numbers are recorded (with the core count) but not gated.
-
-Results go to ``BENCH_shard.json`` and ``BENCH_parallel.json`` at the
-repository root.
+Results go to ``BENCH_shard.json`` at the repository root.
 
 Run with ``PYTHONPATH=src python benchmarks/bench_shard.py``
-(``--quick`` runs reduced sizes, gates against the committed
-BENCH_shard.json baseline without rewriting it, and refreshes
-BENCH_parallel.json — wall clock is machine-dependent, so that file is
-always a fresh measurement).
+(``--quick`` runs reduced sizes and gates against the committed
+BENCH_shard.json baseline without rewriting it).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
 from typing import Generator
 
 from repro.analysis.parallel import default_workers, parallel_imap
-from repro.chaos.cli import _soak_cell
+from repro.chaos.cli import SoakCell, _soak_cell
 from repro.core.config import ChtConfig
 from repro.objects.kvstore import KVStoreSpec, increment
-from repro.shard import ParallelShardedCluster, ShardedCluster, slot_of
-from repro.sim.core import Simulator
+from repro.shard import ShardedCluster, slot_of
 from repro.sim.tasks import Future
 
 from _common import Table, banner
@@ -72,40 +58,6 @@ SCALING_TARGET = 2.5
 #: quick speedup should match the committed baseline almost exactly;
 #: the slack only covers legitimate small code changes.
 QUICK_FLOOR = 0.8
-#: Wall-clock acceptance floor for the parallel backend: serial wall
-#: time over parallel wall time at G=4 (one worker per group).  Only
-#: enforced with at least this many cores — conservative windows cannot
-#: beat serial execution without hardware parallelism.
-PARALLEL_TARGET = 2.5
-PARALLEL_TARGET_CORES = 4
-#: Single-worker parallel overhead gate: at G=1 the backend pays pure
-#: sync overhead (no parallelism to win), so serial/parallel wall must
-#: stay >= this even on one core.
-PARALLEL_G1_FLOOR = 0.95
-#: Barrier-stall gate at the top group count, enforced with the wall
-#: gate: worst worker blocked-on-command wall seconds over parallel
-#: wall seconds of the measured phase.
-PARALLEL_STALL_FRACTION_MAX = 0.30
-#: Quiet-workload window cap: with zero cross-group traffic after
-#: leader election, the adaptive engine must collapse the whole horizon
-#: into a handful of windows (the fixed-lookahead engine used one per
-#: lookahead — 412 over the full horizon).
-QUIET_WINDOWS_CAP = 8
-#: PR 6's committed numbers (fixed-lookahead lockstep windows), kept in
-#: the artifact so the perf trajectory stays comparable run over run.
-BASELINE_PR6 = {
-    "windows_g4": 412,
-    "barrier_stall_seconds_g4": 1.645,
-    "parallel_wall_seconds_g4": 1.763,
-    "serial_wall_seconds_g4": 1.629,
-    "wall_speedup_vs_serial": {"1": 0.90, "2": 0.93, "4": 0.92},
-    "cpu_count": 1,
-}
-#: Event-loop micro-benchmark (the run()-loop deadline/budget hoisting):
-#: best-of-3 over this many self-rescheduling timer events, with the
-#: pre-optimization number committed for comparison.
-MICRO_EVENTS = 300_000
-MICRO_BEFORE_EVENTS_PER_SEC = 917_513
 
 
 def distinct_slot_keys(num_slots: int) -> list[str]:
@@ -190,10 +142,7 @@ def bench_scaling(quick: bool) -> dict:
 def bench_handoff_soak(quick: bool) -> dict:
     """Sharded chaos soak: every schedule carries a mid-run handoff."""
     schedules = 8 if quick else 60
-    cells = [
-        ("sharded", 3, 2, 2500.0, 0, 6, None, i, 2, 1)
-        for i in range(schedules)
-    ]
+    cells = [SoakCell("sharded", i, n=3) for i in range(schedules)]
     workers = min(default_workers(), schedules)
     t0 = time.perf_counter()
     failures: list[str] = []
@@ -222,186 +171,6 @@ def bench_handoff_soak(quick: bool) -> dict:
     }
 
 
-def bench_event_loop() -> dict:
-    """Satellite micro-benchmark: raw run()-loop event rate.
-
-    Same harness as the committed "before" number: one self-rescheduling
-    timer, best of three passes of ``MICRO_EVENTS`` events.
-    """
-
-    def once() -> float:
-        sim = Simulator()
-
-        def tick() -> None:
-            sim.schedule(1.0, tick)
-
-        sim.schedule(1.0, tick)
-        t0 = time.perf_counter()
-        sim.run(max_events=MICRO_EVENTS)
-        return MICRO_EVENTS / (time.perf_counter() - t0)
-
-    best = max(once() for _ in range(3))
-    return {
-        "harness": f"best of 3 x {MICRO_EVENTS} self-rescheduling timer "
-                   "events",
-        "events_per_sec_before": MICRO_BEFORE_EVENTS_PER_SEC,
-        "events_per_sec_after": round(best),
-        "speedup": round(best / MICRO_BEFORE_EVENTS_PER_SEC, 3),
-    }
-
-
-def _wall_clock_cell(groups: int, horizon: float, parallel: bool,
-                     seed: int = 0) -> dict:
-    """One wall-clock measurement: the steady-write workload on either
-    backend, identical simulated work by construction."""
-    config = ChtConfig(n=3, max_batch_size=BATCH_CAP)
-    facade = ParallelShardedCluster if parallel else ShardedCluster
-    cluster = facade(
-        KVStoreSpec(),
-        config,
-        num_groups=groups,
-        num_slots=NUM_SLOTS,
-        seed=seed,
-        num_clients=NUM_WRITERS,
-        obs=False,
-    ).start()
-    try:
-        cluster.run_until_leaders()
-        keys = distinct_slot_keys(NUM_SLOTS)
-        completions: list[Future] = []
-        routers = [cluster.router(i) for i in range(NUM_WRITERS)]
-        for i, router in enumerate(routers):
-            router._host.spawn(
-                _writer(router, keys[i % NUM_SLOTS], completions),
-                name=f"writer-{i}",
-            )
-        stall_before = cluster.barrier_stall if parallel else 0.0
-        windows_before = cluster.windows if parallel else 0
-        t0 = time.perf_counter()
-        cluster.run(horizon)
-        wall = time.perf_counter() - t0
-        committed = sum(1 for f in completions if f.done)
-        row = {
-            "groups": groups,
-            "wall_seconds": round(wall, 3),
-            "writes": committed,
-            "writes_per_wall_sec": round(committed / wall, 1),
-        }
-        if parallel:
-            # Scope stall and windows to the measured phase (leader
-            # election is warm-up); stall fraction is what the CI gate
-            # asserts on.
-            stall = cluster.barrier_stall - stall_before
-            row["windows"] = cluster.windows - windows_before
-            row["window_commands"] = cluster.window_commands
-            row["barrier_stall_seconds"] = round(stall, 3)
-            row["stall_fraction"] = round(stall / wall, 3)
-            row["envelope_bytes"] = cluster.envelope_bytes
-            row["bytes_per_window"] = round(
-                cluster.envelope_bytes / max(cluster.windows, 1)
-            )
-            reports = cluster.finish()
-            events = cluster.sim.events_processed + sum(
-                report["events_processed"] for report in reports.values()
-            )
-        else:
-            events = cluster.sim.events_processed
-        row["events"] = events
-        row["events_per_wall_sec"] = round(events / wall)
-        return row
-    finally:
-        cluster.close()
-
-
-def _quiet_workload_cell(groups: int, horizon: float) -> dict:
-    """Zero-cross-traffic window count: leaders elected, then nothing.
-
-    Groups keep renewing leases and running monitors — busy event heaps,
-    no cross-group envelopes — so the adaptive engine's quiescence
-    promise must collapse the whole horizon into a constant number of
-    windows.  Runs in-process so the count is exactly deterministic
-    (worker-ack timing cannot perturb grants), which makes it CI-gateable.
-    """
-    cluster = ParallelShardedCluster(
-        KVStoreSpec(),
-        ChtConfig(n=3, max_batch_size=BATCH_CAP),
-        num_groups=groups,
-        num_slots=NUM_SLOTS,
-        seed=0,
-        num_clients=1,
-        use_processes=False,
-    ).start()
-    try:
-        cluster.run_until_leaders()
-        windows_before = cluster.windows
-        cluster.run(horizon)
-        return {
-            "groups": groups,
-            "horizon_ms": horizon,
-            "windows": cluster.windows - windows_before,
-            "windows_cap": QUIET_WINDOWS_CAP,
-            "windows_fixed_lookahead_baseline": BASELINE_PR6["windows_g4"],
-        }
-    finally:
-        cluster.close()
-
-
-def bench_parallel_backend(quick: bool) -> dict:
-    """Serial vs parallel backend wall clock at G ∈ {1, 2, 4}.
-
-    The parallel cluster runs one worker process per group, so the G=4
-    row is the "4 workers" configuration the acceptance target names.
-    """
-    horizon = 1500.0 if quick else 4000.0
-    counts = (1, 4) if quick else (1, 2, 4)
-    serial = {}
-    parallel = {}
-    for g in counts:
-        serial[str(g)] = _wall_clock_cell(g, horizon, parallel=False)
-        parallel[str(g)] = _wall_clock_cell(g, horizon, parallel=True)
-    cores = os.cpu_count() or 1
-    speedups = {
-        str(g): round(
-            serial[str(g)]["wall_seconds"] / parallel[str(g)]["wall_seconds"],
-            2,
-        )
-        for g in counts
-    }
-    top = str(max(counts))
-    enforced = cores >= PARALLEL_TARGET_CORES and not quick
-    return {
-        "horizon_ms": horizon,
-        "writers": NUM_WRITERS,
-        "cpu_count": cores,
-        "serial": serial,
-        "parallel": parallel,
-        "quiet_workload": _quiet_workload_cell(
-            max(counts), 1000.0 if quick else 4000.0
-        ),
-        "wall_speedup_vs_serial": speedups,
-        "baseline_pr6": BASELINE_PR6,
-        "gate": {
-            "target": PARALLEL_TARGET,
-            "at_groups": int(top),
-            "g1_floor": PARALLEL_G1_FLOOR,
-            "stall_fraction_max": PARALLEL_STALL_FRACTION_MAX,
-            "quiet_windows_cap": QUIET_WINDOWS_CAP,
-            "enforced": enforced,
-            "skipped": not enforced,
-            "cpu_count": cores,
-            "reason": (
-                "enforced: full run on >= "
-                f"{PARALLEL_TARGET_CORES} cores"
-                if enforced else
-                f"recorded only: {cores} core(s)"
-                + (", quick mode" if quick else "")
-                + f"; the >= {PARALLEL_TARGET}x gate needs "
-                f">= {PARALLEL_TARGET_CORES} cores (CI enforces it)"
-            ),
-        },
-    }
-
-
 def run(quick: bool = False) -> dict:
     scaling = bench_scaling(quick)
     soak = bench_handoff_soak(quick)
@@ -423,14 +192,6 @@ def run(quick: bool = False) -> dict:
         q = bench_scaling(quick=True)
         result["speedup_quick_baseline"] = q["speedup_vs_g1"]
     return result
-
-
-def run_parallel(quick: bool = False) -> dict:
-    return {
-        "quick": quick,
-        "event_loop_micro": bench_event_loop(),
-        "wall_clock": bench_parallel_backend(quick),
-    }
 
 
 def emit(result: dict) -> None:
@@ -457,146 +218,21 @@ def emit(result: dict) -> None:
         print(f"  FAIL {failure}")
 
 
-def emit_parallel(result: dict) -> None:
-    micro = result["event_loop_micro"]
-    print(banner("event-loop micro: run() deadline/budget hoisting"))
-    print(f"{micro['harness']}: {micro['events_per_sec_before']:,} -> "
-          f"{micro['events_per_sec_after']:,} events/s "
-          f"({micro['speedup']:.3f}x)")
-
-    wall = result["wall_clock"]
-    print(banner(
-        f"parallel backend wall clock ({wall['cpu_count']} core(s), "
-        f"{wall['writers']} writers, {wall['horizon_ms']:.0f} ms horizon)"
-    ))
-    table = Table(["groups", "serial wall s", "parallel wall s",
-                   "speedup", "events/s parallel", "windows",
-                   "stall s", "stall %", "B/window"])
-    for g in sorted(wall["serial"], key=int):
-        serial, parallel = wall["serial"][g], wall["parallel"][g]
-        table.add_row(
-            g,
-            serial["wall_seconds"],
-            parallel["wall_seconds"],
-            f'{wall["wall_speedup_vs_serial"][g]:.2f}x',
-            f'{parallel["events_per_wall_sec"]:,}',
-            parallel["windows"],
-            parallel["barrier_stall_seconds"],
-            f'{100.0 * parallel["stall_fraction"]:.0f}%',
-            parallel["bytes_per_window"],
-        )
-    print(table.render())
-    quiet = wall["quiet_workload"]
-    print(
-        f"quiet workload (G={quiet['groups']}, no cross-traffic, "
-        f"{quiet['horizon_ms']:.0f} ms): {quiet['windows']} windows "
-        f"(cap {quiet['windows_cap']}, fixed-lookahead baseline "
-        f"{quiet['windows_fixed_lookahead_baseline']})"
-    )
-    baseline = result["wall_clock"]["baseline_pr6"]
-    top = str(result["wall_clock"]["gate"]["at_groups"])
-    row = wall["parallel"].get(top)
-    if row is not None:
-        print(
-            f"vs PR 6 at G={top}: windows "
-            f"{baseline['windows_g4']} -> {row['windows']}, stall "
-            f"{baseline['barrier_stall_seconds_g4']}s -> "
-            f"{row['barrier_stall_seconds']}s"
-        )
-    print(f"gate: {wall['gate']['reason']}")
-
-
-def check_parallel_gates(parallel_result: dict) -> list[str]:
-    """Assert the parallel-backend gates; returns failure strings.
-
-    The quiet-workload window cap is asserted unconditionally (the count
-    is deterministic and machine-independent).  The wall-clock gates —
-    >= ``PARALLEL_TARGET``x at the top group count, G=1 overhead floor,
-    stall fraction — only apply when ``gate.enforced`` (full run on
-    >= ``PARALLEL_TARGET_CORES`` cores).
-    """
-    wall = parallel_result["wall_clock"]
-    gate = wall["gate"]
-    failures = []
-    quiet = wall["quiet_workload"]
-    if quiet["windows"] > gate["quiet_windows_cap"]:
-        failures.append(
-            f"quiet workload used {quiet['windows']} windows "
-            f"(cap {gate['quiet_windows_cap']})"
-        )
-    if gate["enforced"]:
-        top = str(gate["at_groups"])
-        got = wall["wall_speedup_vs_serial"][top]
-        if got < gate["target"]:
-            failures.append(
-                f"G={top} wall speedup {got:.2f}x < {gate['target']}x"
-            )
-        g1 = wall["wall_speedup_vs_serial"].get("1")
-        if g1 is not None and g1 < gate["g1_floor"]:
-            failures.append(
-                f"G=1 speedup {g1:.2f}x < {gate['g1_floor']}x "
-                "(single-worker overhead too high)"
-            )
-        stall = wall["parallel"][top]["stall_fraction"]
-        if stall >= gate["stall_fraction_max"]:
-            failures.append(
-                f"G={top} barrier-stall fraction {stall:.0%} >= "
-                f"{gate['stall_fraction_max']:.0%}"
-            )
-    return failures
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
                         help="reduced sizes; gate against the committed "
                              "BENCH_shard.json, no rewrite")
-    parser.add_argument("--parallel-only", action="store_true",
-                        help="run only the parallel-backend benchmark "
-                             "(skips scaling + handoff soak)")
-    parser.add_argument("--require-gate", action="store_true",
-                        help="fail if the wall-clock gate is skipped "
-                             "(machine below the core floor) — what CI "
-                             "uses so the gate can never silently stop "
-                             "running")
     args = parser.parse_args()
 
-    if not args.parallel_only:
-        result = run(quick=args.quick)
-        emit(result)
+    result = run(quick=args.quick)
+    emit(result)
     out = REPO_ROOT / "BENCH_shard.json"
 
-    parallel_result = run_parallel(quick=args.quick)
-    emit_parallel(parallel_result)
-    # Wall clock is machine-dependent; the artifact is always a fresh
-    # measurement (core count included), never a committed baseline.
-    parallel_out = REPO_ROOT / "BENCH_parallel.json"
-    parallel_out.write_text(json.dumps(parallel_result, indent=2) + "\n")
-    print(f"\nwrote {parallel_out}")
-
-    if not args.parallel_only and result["soak"]["failures"]:
+    if result["soak"]["failures"]:
         print(f"\nhandoff soak found {len(result['soak']['failures'])} "
               "failures")
         sys.exit(1)
-
-    gate = parallel_result["wall_clock"]["gate"]
-    if args.require_gate and gate["skipped"]:
-        print(f"[FAIL] wall-clock gate skipped but required: "
-              f"{gate['reason']}")
-        sys.exit(1)
-    gate_failures = check_parallel_gates(parallel_result)
-    for failure in gate_failures:
-        print(f"[FAIL] {failure}")
-    if gate["enforced"] and not gate_failures:
-        top = str(gate["at_groups"])
-        got = parallel_result["wall_clock"]["wall_speedup_vs_serial"][top]
-        print(f"[PASS] parallel backend G={top} wall-clock speedup "
-              f"{got:.2f}x (target >= {gate['target']}x), stall and "
-              f"overhead gates met")
-    if gate_failures:
-        sys.exit(1)
-    if args.parallel_only:
-        return
 
     if args.quick:
         committed = json.loads(out.read_text())["speedup_quick_baseline"]

@@ -34,7 +34,7 @@ import time
 from pathlib import Path
 
 from repro.analysis.parallel import default_workers, parallel_imap
-from repro.chaos.cli import _soak_cell
+from repro.chaos.cli import SoakCell, _soak_cell
 from repro.objects.kvstore import KVStoreSpec, delete, get, increment, put
 from repro.objects.register import RegisterSpec, read, write
 from repro.verify._reference import check_linearizable_reference
@@ -157,7 +157,7 @@ def bench_soak_shaped(quick: bool) -> dict:
 
 def bench_soak_end_to_end(quick: bool) -> dict:
     schedules = 4 if quick else 12
-    cells = [("cht", 5, 2, 2500.0, 0, 6, None, i) for i in range(schedules)]
+    cells = [SoakCell("cht", i) for i in range(schedules)]
 
     t0 = time.perf_counter()
     serial = [_soak_cell(cell) for cell in cells]

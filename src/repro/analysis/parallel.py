@@ -33,7 +33,7 @@ import traceback
 from pickle import PicklingError
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
-__all__ = ["WorkerCrash", "cell_count", "default_workers", "parallel_imap",
+__all__ = ["WorkerCrash", "default_workers", "parallel_imap",
            "parallel_map", "parallel_starmap", "run_cells"]
 
 #: Environment knob: cap the worker count (1 forces serial execution).
@@ -151,16 +151,23 @@ def _collect(pool: Any, handles: list, fn: Callable) -> Iterator[Any]:
             _reraise(tagged[1], tagged[2], index)
 
 
-def parallel_map(
+def parallel_imap(
     fn: Callable[[Any], Any],
     items: Iterable[Any],
     workers: Optional[int] = None,
-) -> list[Any]:
-    """``[fn(x) for x in items]`` over a process pool, order-preserving.
+) -> Iterator[Any]:
+    """Yield ``fn(x)`` for each item *in input order*, computing ahead.
 
     ``fn`` must be picklable (a module-level function or a picklable
-    callable object).  Falls back to a serial loop when the pool cannot
-    help (one item, one worker) or cannot start (no fork support).
+    callable object).  Results stream back as the consumer iterates:
+    the pool keeps working ahead on later items while the caller
+    processes earlier ones, and abandoning the generator (e.g. ``break``
+    on the first interesting result) terminates outstanding work.  The
+    chaos soak uses this so verification of schedule *k* overlaps
+    simulation of schedules *k+1..k+workers* — with a deterministic,
+    serial-identical result order.  Falls back to a serial loop when the
+    pool cannot help (one item, one worker) or cannot start (no fork
+    support).
     """
     items = list(items)
     if workers is None:
@@ -168,63 +175,20 @@ def parallel_map(
     workers = min(workers, len(items))
     ctx = _fork_context()
     if workers <= 1 or len(items) <= 1 or ctx is None:
-        return [fn(item) for item in items]
+        for item in items:
+            yield fn(item)
+        return
     try:
         pool = ctx.Pool(processes=workers)
     except OSError:  # pragma: no cover - resource limits
-        return [fn(item) for item in items]
+        for item in items:
+            yield fn(item)
+        return
     try:
         # One task per submission (the chunksize=1 analogue): cells are
         # coarse (whole simulations), so even load-balancing beats
         # batching — and per-cell handles let _collect name the cell
         # that failed.
-        carrier = _Carrier(fn)
-        handles = [pool.apply_async(carrier, (item,)) for item in items]
-        results = list(_collect(pool, handles, fn))
-        pool.close()
-        return results
-    except PicklingError:  # pragma: no cover - unpicklable fn/items
-        return [fn(item) for item in items]
-    finally:
-        # Terminate-before-join: reached on success, worker crash, and
-        # KeyboardInterrupt alike; after close() + full drain terminate
-        # is a no-op, and in every other case it is what keeps join()
-        # from waiting on workers that still hold abandoned tasks.
-        pool.terminate()
-        pool.join()
-
-
-def parallel_imap(
-    fn: Callable[[Any], Any],
-    items: Iterable[Any],
-    workers: Optional[int] = None,
-):
-    """Yield ``fn(x)`` for each item *in input order*, computing ahead.
-
-    Unlike :func:`parallel_map`, results stream back as the consumer
-    iterates: the pool keeps working ahead on later items while the
-    caller processes earlier ones, and abandoning the generator (e.g.
-    ``break`` on the first interesting result) terminates outstanding
-    work.  The chaos soak uses this so verification of schedule *k*
-    overlaps simulation of schedules *k+1..k+workers* — with a
-    deterministic, serial-identical result order.
-    """
-    items = list(items)
-    if workers is None:
-        workers = default_workers()
-    workers = min(workers, len(items))
-    ctx = _fork_context()
-    if workers <= 1 or len(items) <= 1 or ctx is None:
-        for item in items:
-            yield fn(item)
-        return
-    try:
-        pool = ctx.Pool(processes=workers)
-    except OSError:  # pragma: no cover - resource limits
-        for item in items:
-            yield fn(item)
-        return
-    try:
         carrier = _Carrier(fn)
         handles = [pool.apply_async(carrier, (item,)) for item in items]
         yield from _collect(pool, handles, fn)
@@ -236,6 +200,19 @@ def parallel_imap(
         # no-op after close() + full drain.
         pool.terminate()
         pool.join()
+
+
+def parallel_map(
+    fn: Callable[[Any], Any],
+    items: Iterable[Any],
+    workers: Optional[int] = None,
+) -> list[Any]:
+    """``[fn(x) for x in items]`` over the :func:`parallel_imap` pool."""
+    items = list(items)
+    try:
+        return list(parallel_imap(fn, items, workers))
+    except PicklingError:  # pragma: no cover - unpicklable fn/items
+        return [fn(item) for item in items]
 
 
 def parallel_starmap(
@@ -267,7 +244,3 @@ def run_cells(
     for i, system in enumerate(systems):
         grouped[system] = flat[i * per_system:(i + 1) * per_system]
     return grouped
-
-
-def cell_count(systems: Sequence[str], seeds: Sequence[int]) -> int:
-    return len(systems) * len(seeds)

@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..analysis.parallel import default_workers, parallel_imap
@@ -33,39 +34,58 @@ from .generator import ScheduleGenerator
 from .nemesis import SYSTEMS, NemesisResult, NemesisRunner
 from .shrink import run_artifact, save_artifact, shrink
 
-__all__ = ["main"]
+__all__ = ["SoakCell", "main"]
 
 
-def _soak_cell(args: tuple) -> NemesisResult:
-    """One soak cell: generate schedule ``index`` and run it.
+@dataclass(frozen=True)
+class SoakCell:
+    """Everything that determines one soak verdict: system, cluster
+    shape, workload size, planted bug, and which schedule to generate."""
+
+    system: str
+    index: int
+    seed: int = 0
+    n: int = 5
+    clients: int = 2
+    horizon: float = 2500.0
+    ops_per_client: int = 6
+    bug: Optional[str] = None
+    groups: int = 2
+    handoffs: int = 1
+    durability: bool = False
+    num_leaseholders: int = 0
+
+    def build(self) -> tuple[ScheduleGenerator, NemesisRunner]:
+        generator = ScheduleGenerator(
+            n=self.n, num_clients=self.clients, horizon=self.horizon,
+            seed=self.seed, durability=self.durability,
+            num_leaseholders=self.num_leaseholders,
+            # Sharded groups run one extra (coordinator) session, which
+            # shifts where the leaseholder tier's pids start.
+            leaseholder_base=(
+                self.n + self.clients + 1
+                if self.system == "sharded" else None
+            ),
+        )
+        runner = NemesisRunner(
+            system=self.system, n=self.n, num_clients=self.clients,
+            seed=self.seed, horizon=self.horizon,
+            ops_per_client=self.ops_per_client, bug=self.bug,
+            groups=self.groups, handoffs=self.handoffs,
+            durability=self.durability,
+            num_leaseholders=self.num_leaseholders,
+        )
+        return generator, runner
+
+
+def _soak_cell(cell: SoakCell) -> NemesisResult:
+    """Generate schedule ``cell.index`` and run it.
 
     Module-level (picklable) and self-contained so it executes
-    identically in a forked worker and in the parent process.  Cells are
-    8-tuples historically; sharded soaks append ``(groups, handoffs)``,
-    then ``parallel_sim``, then ``durability``, then
-    ``num_leaseholders``, and older shorter-tuple callers keep working.
+    identically in a forked worker and in the parent process.
     """
-    (system, n, clients, horizon, seed, ops_per_client, bug, index,
-     *rest) = args
-    groups, handoffs, parallel_sim, durability, num_leaseholders = (
-        *rest, 2, 1, False, False, 0
-    )[:5]
-    generator = ScheduleGenerator(
-        n=n, num_clients=clients, horizon=horizon, seed=seed,
-        durability=durability, num_leaseholders=num_leaseholders,
-        # Sharded groups run one extra (coordinator) session, which
-        # shifts where the leaseholder tier's pids start.
-        leaseholder_base=(
-            n + clients + 1 if system == "sharded" else None
-        ),
-    )
-    runner = NemesisRunner(
-        system=system, n=n, num_clients=clients, seed=seed, horizon=horizon,
-        ops_per_client=ops_per_client, bug=bug,
-        groups=groups, handoffs=handoffs, parallel_sim=parallel_sim,
-        durability=durability, num_leaseholders=num_leaseholders,
-    )
-    return runner.run(generator.generate(index))
+    generator, runner = cell.build()
+    return runner.run(generator.generate(cell.index))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -92,10 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
     soak.add_argument("--handoffs", type=int, default=1,
                       help="fenced handoffs fired mid-schedule per "
                            "sharded run (system=sharded)")
-    soak.add_argument("--parallel-sim", action="store_true",
-                      help="simulate each shard group in its own worker "
-                           "process (system=sharded; verdicts identical "
-                           "to the serial backend)")
     soak.add_argument("--durability", action="store_true",
                       help="attach in-sim durable storage to every CHT "
                            "replica and add crash-restart + storage-fault "
@@ -145,10 +161,14 @@ def _soak(args: argparse.Namespace) -> int:
     for system in systems:
         sys_undecided = 0
         cells = [
-            (system, args.n, args.clients, args.horizon, args.seed,
-             args.ops_per_client, args.bug, index, args.groups,
-             args.handoffs, args.parallel_sim, args.durability,
-             args.leaseholders)
+            SoakCell(
+                system, index, seed=args.seed, n=args.n,
+                clients=args.clients, horizon=args.horizon,
+                ops_per_client=args.ops_per_client, bug=args.bug,
+                groups=args.groups, handoffs=args.handoffs,
+                durability=args.durability,
+                num_leaseholders=args.leaseholders,
+            )
             for index in range(args.schedules)
         ]
         # Stream verdicts in index order; workers simulate+verify ahead.
@@ -177,25 +197,7 @@ def _soak(args: argparse.Namespace) -> int:
             )
             # Shrinking replays mutated schedules serially in this
             # process; rebuild the failing cell's generator and runner.
-            # Always on the serial backend: verdicts are identical, and
-            # a tight mutate-replay loop has no use for fork overhead.
-            generator = ScheduleGenerator(
-                n=args.n, num_clients=args.clients, horizon=args.horizon,
-                seed=args.seed, durability=args.durability,
-                num_leaseholders=args.leaseholders,
-                leaseholder_base=(
-                    args.n + args.clients + 1
-                    if system == "sharded" else None
-                ),
-            )
-            runner = NemesisRunner(
-                system=system, n=args.n, num_clients=args.clients,
-                seed=args.seed, horizon=args.horizon,
-                ops_per_client=args.ops_per_client, bug=args.bug,
-                groups=args.groups, handoffs=args.handoffs,
-                durability=args.durability,
-                num_leaseholders=args.leaseholders,
-            )
+            generator, runner = cells[index].build()
             schedule = generator.generate(index)
             print(
                 f"shrinking ({schedule.fault_count()} fault entries)...",

@@ -35,7 +35,6 @@ from ..core.config import ChtConfig
 from ..objects.kvstore import KVStoreSpec, delete, get, increment, put
 from ..objects.spec import Operation
 from ..shard.cluster import ShardedCluster
-from ..shard.parallel import ParallelShardedCluster
 from ..shard.router import Router
 from ..shard.spec import WrongShard
 from ..durable import attach_memory_durability, durable_audit
@@ -127,7 +126,6 @@ class NemesisRunner:
         max_configurations: int = 2_000_000,
         groups: int = 2,
         handoffs: int = 1,
-        parallel_sim: bool = False,
         durability: bool = False,
         num_leaseholders: int = 0,
     ) -> None:
@@ -160,11 +158,6 @@ class NemesisRunner:
         # runner fires while the fault schedule is playing out.
         self.groups = groups
         self.handoffs = handoffs
-        # Sharded runs only: simulate each group on its own worker
-        # process (ParallelShardedCluster).  Verdicts are byte-identical
-        # to the serial backend — that equivalence is pinned by the
-        # determinism suite — so this trades nothing but wall clock.
-        self.parallel_sim = parallel_sim
         self.seed = seed
         self.horizon = horizon
         self.ops_per_client = ops_per_client
@@ -312,14 +305,6 @@ class NemesisRunner:
           is caught as an ordinary linearizability violation;
         * **structural exactly-once** — every routed operation saw
           exactly one committed non-WrongShard reply across all groups.
-
-        With ``parallel_sim`` the same run executes on the parallel
-        backend: the control plane (routers, handoff driver, verdict
-        inputs) stays in this process while each group simulates in a
-        forked worker.  Bug injection and schedule arming move into the
-        per-group hooks so they execute inside the worker; both hooks
-        draw only site-namespaced randomness, which is why the two
-        backends produce byte-identical traces and verdicts.
         """
         spec = KVStoreSpec()
         bug = self.bug
@@ -332,14 +317,9 @@ class NemesisRunner:
                 for holder in group.leaseholders:
                     holder.bug_switches.add(bug)
             if durability:
-                # Runs inside the forked worker under parallel_sim; the
-                # disk RNG streams are keyed by (site, pid), so serial
-                # and parallel backends draw identical device behaviour.
                 attach_memory_durability(group)
 
         def on_started(group: ChtCluster, gid: int) -> None:
-            # Arm on the *group's* simulator — the shared one in a
-            # serial run, the worker-local one in a parallel run.
             schedule.arm(
                 group.sim,
                 group.net,
@@ -350,8 +330,7 @@ class NemesisRunner:
                 leader_probe=self._cht_probe(group),
             )
 
-        facade = ParallelShardedCluster if self.parallel_sim else ShardedCluster
-        cluster = facade(
+        cluster = ShardedCluster(
             spec,
             ChtConfig(n=self.n),
             num_groups=self.groups,
@@ -364,22 +343,6 @@ class NemesisRunner:
             num_leaseholders=self.num_leaseholders,
         )
         self.last_obs = cluster.obs
-        try:
-            return self._drive_sharded(cluster, spec, schedule)
-        finally:
-            cluster.close()
-
-    def _drive_sharded(
-        self, cluster: Any, spec: KVStoreSpec, schedule: FaultSchedule
-    ) -> NemesisResult:
-        """Drive one sharded run through either façade.
-
-        Everything here speaks the shared control-plane surface —
-        ``router`` / ``spawn_handoff`` / ``run_to`` / ``run_until`` /
-        ``owned_slots`` / ``invariant_failures`` — and never touches a
-        group object directly, so it cannot tell (and must not care)
-        whether the groups live on the shared simulator or in workers.
-        """
         cluster.start()
         routers = [cluster.router(i) for i in range(self.num_clients)]
         futures: list[Future] = []
@@ -511,7 +474,7 @@ class NemesisRunner:
 
     @staticmethod
     def _handoff_driver(
-        cluster: Any,  # ShardedCluster | ParallelShardedCluster
+        cluster: ShardedCluster,
         times: list[float],
         pairs: list[tuple[int, int]],
         handoff_futures: list[Future],

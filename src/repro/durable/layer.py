@@ -132,8 +132,8 @@ def attach_memory_durability(cluster: Any,
     """Give every replica of a ChtCluster an in-sim durable store.
 
     Device RNG streams fork off the simulator keyed by pid (and the
-    cluster's site label under sharding), so serial and parallel
-    backends draw identical device delays and torn-tail cuts.
+    cluster's site label under sharding), so a group's device delays
+    and torn-tail cuts do not depend on its sibling groups.
     """
     sim = cluster.sim
     for replica in cluster.replicas:

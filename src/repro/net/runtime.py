@@ -14,8 +14,7 @@ protocol classes run on two substrates:
   labels, and clock arithmetic are exactly the pre-seam code paths, so
   simulated runs are byte-identical to the pre-refactor engine (pinned
   by the determinism suites).  The simulator remains the verification
-  oracle: chaos, linearizability checking, and the parallel backend all
-  drive this runtime.
+  oracle: chaos and linearizability checking drive this runtime.
 * :class:`~repro.net.asyncio_rt.AsyncioRuntime` — real TCP sockets
   between OS processes, wall-clock timers, and heartbeat-based failure
   suspicion.  This is the production path; see docs/NETWORK.md.

@@ -32,7 +32,6 @@ __all__ = [
     "read_timeline",
     "messages_per_op",
     "leader_dwell",
-    "parallel_sync",
     "render_report",
 ]
 
@@ -163,41 +162,6 @@ def leader_dwell(source: _Traceish) -> dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# Parallel-sim sync health
-# ----------------------------------------------------------------------
-
-def parallel_sync(source: _Traceish) -> Optional[dict[str, Any]]:
-    """Window-sync telemetry from a parallel-backend run, or None.
-
-    Pulls the ``sync.*`` counters the adaptive window engine
-    (:mod:`repro.sim.parallel`) folds into the parent metrics snapshot —
-    critical-path window count, worst per-worker barrier stall, bytes
-    over the worker pipes — plus the per-site ``sync.window`` span
-    counts.  Serial runs carry none of these, so a stall regression is
-    visible in any traced parallel run without re-running the bench.
-    """
-    trace = as_trace(source)
-    counters = (trace.metrics or {}).get("counters", {})
-    windows = counters.get("sync.windows_total")
-    if windows is None:
-        return None
-    spans = [s for s in trace.spans if s.name == "sync.window"]
-    per_site: dict[str, int] = {}
-    for span in spans:
-        site = str(span.attrs.get("site", "?"))
-        per_site[site] = per_site.get(site, 0) + 1
-    stall = float(counters.get("sync.barrier_stall_seconds", 0.0))
-    bytes_total = float(counters.get("sync.envelope_bytes", 0.0))
-    return {
-        "windows_total": float(windows),
-        "barrier_stall_seconds": stall,
-        "envelope_bytes": bytes_total,
-        "bytes_per_window": bytes_total / windows if windows else 0.0,
-        "per_site": per_site,
-    }
-
-
-# ----------------------------------------------------------------------
 # The rendered report (what `python -m repro.obs report` prints)
 # ----------------------------------------------------------------------
 
@@ -254,22 +218,5 @@ def render_report(source: _Traceish) -> str:
         dwell_table.add_row(pid, len(durations),
                             sum(durations) / len(durations), max(durations))
     parts.append(dwell_table.render())
-
-    sync = parallel_sync(trace)
-    if sync is not None:
-        parts.append(banner("parallel sync"))
-        sync_table = Table(["metric", "value"])
-        sync_table.add_row("window acks (all sites)", sync["windows_total"])
-        sync_table.add_row("barrier stall (wall s, worst worker)",
-                           sync["barrier_stall_seconds"])
-        sync_table.add_row("envelope bytes over pipes",
-                           sync["envelope_bytes"])
-        sync_table.add_row("bytes / window ack", sync["bytes_per_window"])
-        parts.append(sync_table.render())
-        if sync["per_site"]:
-            site_table = Table(["site", "windows"])
-            for site, count in sorted(sync["per_site"].items()):
-                site_table.add_row(site, count)
-            parts.append(site_table.render())
 
     return "\n\n".join(parts)

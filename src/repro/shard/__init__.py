@@ -16,33 +16,25 @@ and partitioning the keyspace between them:
 * :mod:`router` — a client-side :class:`Router` that caches the shard
   map, routes each operation by its ``partition_key``, and chases
   ``WrongShard`` redirects.
-* :mod:`transport` — the control plane and the transport seam between
-  it and the groups (:class:`LocalTransport` on one shared simulator,
-  :class:`MailboxTransport` across simulators).
-* :mod:`cluster` — :class:`ShardedCluster`, the serial multi-group
-  façade with the fenced handoff primitive.
-* :mod:`parallel` — :class:`ParallelShardedCluster`, the same cluster
-  with one simulator per group on forked workers, window-synchronized
-  by :class:`~repro.sim.parallel.ParallelSim`.
+* :mod:`transport` — the control plane and the message link between
+  it and the groups (:class:`LocalTransport`).
+* :mod:`cluster` — :class:`ShardedCluster`, the multi-group façade with
+  the fenced handoff primitive.
 
-See ``docs/SHARDING.md`` for the design and its safety argument, and
-``docs/PERFORMANCE.md`` for the parallel backend.
+See ``docs/SHARDING.md`` for the design and its safety argument.
 """
 
-from .cluster import ShardedCluster
+from .cluster import ShardedCluster, group_fingerprint
 from .map import ShardMap, slot_of
-from .parallel import ParallelShardedCluster, group_fingerprint
 from .router import Router
 from .spec import FREEZE, INSTALL, ShardState, ShardedSpec, WrongShard, freeze_op, install_op
-from .transport import ControlPlane, LocalTransport, MailboxTransport
+from .transport import ControlPlane, LocalTransport
 
 __all__ = [
     "FREEZE",
     "INSTALL",
     "ControlPlane",
     "LocalTransport",
-    "MailboxTransport",
-    "ParallelShardedCluster",
     "Router",
     "ShardMap",
     "ShardState",

@@ -1,4 +1,4 @@
-"""The serial multi-group façade over one shared simulator.
+"""The multi-group façade over one shared simulator.
 
 A :class:`ShardedCluster` runs *G* independent CHT groups over **one**
 shared simulator, so their events interleave in a single deterministic
@@ -10,15 +10,11 @@ observability is on, one :class:`~repro.obs.spans.ObsContext` where the
 ``site`` label ``"g0" / "g1" / ...`` keeps their telemetry apart, since
 pids repeat across groups).
 
-Routing and handoffs no longer reach into sibling groups directly:
-the shard map, the routers' driving tasks, and the fenced handoff
+Routing and handoffs do not reach into sibling groups directly: the
+shard map, the routers' driving tasks, and the fenced handoff
 coordinator all live on a :class:`~repro.shard.transport.ControlPlane`,
 which talks to each group's :class:`~repro.shard.transport.GroupPort`
-through a :class:`~repro.shard.transport.LocalTransport`.  The
-parallel façade (:class:`~repro.shard.parallel.ParallelShardedCluster`)
-reuses the same control plane over a mailbox transport, which is what
-makes this serial path the byte-exact determinism oracle for parallel
-runs.
+through a :class:`~repro.shard.transport.LocalTransport`.
 
 Handoff of a slot range from group ``src`` to ``dst`` is three steps,
 each fenced by the map version it carries:
@@ -45,6 +41,7 @@ always computed against the current map.
 
 from __future__ import annotations
 
+import json
 from typing import Any, Callable, Iterable, Optional
 
 from ..core.client import ChtCluster, ClientSession
@@ -52,14 +49,54 @@ from ..core.config import ChtConfig
 from ..objects.spec import ObjectSpec
 from ..obs.spans import ObsContext
 from ..sim.core import Simulator
-from ..sim.latency import DelayModel
+from ..sim.latency import DelayModel, FixedDelay
 from ..sim.tasks import Future
 from .map import ShardMap
 from .router import Router
 from .spec import ShardedSpec
 from .transport import ControlPlane, GroupPort, LocalTransport
 
-__all__ = ["ShardedCluster"]
+__all__ = ["ShardedCluster", "group_fingerprint"]
+
+
+def group_fingerprint(group: ChtCluster) -> str:
+    """One group's run trace, canonically serialized.
+
+    Captures the full per-session operation history (ids, kinds,
+    operations, invocation and response times, responses), each
+    replica's applied prefix and state, and the group network's message
+    accounting.  Two runs whose fingerprints match byte-for-byte
+    processed this group's events in the same order at the same times.
+    """
+    stats = [
+        [
+            list(record.op_id),
+            record.pid,
+            record.kind,
+            repr(record.op),
+            record.invoked_at,
+            record.responded_at,
+            repr(record.response),
+            record.blocked,
+        ]
+        for record in group.stats.records
+    ]
+    replicas = [
+        [replica.pid, replica.applied_upto, repr(replica.state)]
+        for replica in group.replicas
+    ]
+    net = {
+        "sent": sorted(group.net.messages_sent.items()),
+        "delivered": sorted(group.net.messages_delivered.items()),
+        "dropped": sorted(group.net.messages_dropped.items()),
+        "duplicated": sorted(group.net.messages_duplicated.items()),
+        "categories": sorted(group.net.category_sent.items()),
+    }
+    return json.dumps(
+        {"stats": stats, "replicas": replicas, "net": net},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
 
 
 class ShardedCluster:
@@ -100,13 +137,15 @@ class ShardedCluster:
         self.obs: Optional[ObsContext] = (
             ObsContext(self.sim) if obs else None
         )
-        # The control plane is built first so its un-namespaced rng
-        # streams ("network", "process-0", "transport") match the
-        # parallel façade, where it is alone on the parent simulator.
-        self._transport = LocalTransport(transport_delay)
+        # The control plane is built first, so its un-namespaced rng
+        # streams ("network", "process-0", "transport") are the first
+        # fork of each label whatever the groups fork afterwards.
+        if transport_delay is None:
+            transport_delay = FixedDelay(self.config.delta)
+        transport = LocalTransport(self.sim, transport_delay)
         self.control = ControlPlane(
             self.sim,
-            self._transport,
+            transport,
             ShardMap.uniform(num_slots, num_groups),
             num_groups,
             num_clients,
@@ -132,9 +171,7 @@ class ShardedCluster:
                 num_leaseholders=num_leaseholders,
             )
             self.groups.append(group)
-            self.ports.append(
-                GroupPort(g, group, self._transport, self.config.delta)
-            )
+            self.ports.append(GroupPort(g, group, transport))
         self._group_setup = group_setup
         self._on_started = on_started
 
@@ -151,9 +188,8 @@ class ShardedCluster:
         return self.control.handoffs
 
     def start(self) -> "ShardedCluster":
-        # Hook order matches the parallel workers' per-group sequence
-        # (setup, start, on_started), so a group's own event order is
-        # identical under both façades.
+        # Hook order is setup (fault switches), start, on_started
+        # (schedule arming): recorded traces depend on it.
         if self._group_setup is not None:
             for g, group in enumerate(self.groups):
                 self._group_setup(group, g)
@@ -168,7 +204,7 @@ class ShardedCluster:
         self.sim.run_for(duration)
 
     def run_to(self, until: float) -> None:
-        """Run to an absolute simulation time (parallel-façade parity)."""
+        """Run to an absolute simulation time."""
         self.sim.run(until=until)
 
     def run_until(
@@ -191,9 +227,6 @@ class ShardedCluster:
             raise TimeoutError(
                 f"groups {missing} elected no leader within {timeout}"
             )
-
-    def close(self) -> None:
-        """Serial runs hold no external resources; parity no-op."""
 
     # ------------------------------------------------------------------
     # Clients
@@ -245,8 +278,6 @@ class ShardedCluster:
     def invariant_failures(self) -> dict[str, str]:
         """Per-site I2/I3 violation details; empty when all groups pass.
 
-        Same shape as the parallel façade's query-backed version, so the
-        nemesis renders identical invariant verdicts under both backends.
         Groups running with a durability layer additionally get their
         durable footprints audited (reload-as-a-restart-would + durable
         I1/I2); the audit is a no-op for groups without one.

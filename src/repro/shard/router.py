@@ -64,11 +64,10 @@ class RoutingError(RuntimeError):
 class Router:
     """A client-side router over one sharded cluster façade.
 
-    The façade (serial or parallel) provides ``control`` (the
+    The façade provides ``control`` (the
     :class:`~repro.shard.transport.ControlPlane`), ``inner_spec``,
     ``config``, ``map``, and ``obs``; the router itself never touches a
-    group object, which is what lets it run unchanged when the groups
-    live in worker processes.
+    group object.
     """
 
     def __init__(

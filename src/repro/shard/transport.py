@@ -1,40 +1,33 @@
-"""The cluster transport seam and the shared control plane.
+"""The shared control plane and its link to the groups.
 
-PR 5's sharded façade wired routers and the handoff coordinator straight
-into sibling groups' client sessions, which only works when every group
-shares one simulator.  This module replaces those direct references with
-a star-shaped message seam:
+Routers and the handoff coordinator never hold a reference to a group's
+client sessions; everything that crosses between sites goes through a
+star-shaped message link:
 
 * the **control plane** (shard map, routers' driving tasks, the handoff
-  coordinator) runs on a dedicated :class:`ControlHost` process hosted
-  by the *control* simulator — the shared simulator in a serial run, the
-  parent process's simulator under :class:`~repro.sim.parallel.ParallelSim`;
+  coordinator) runs on a dedicated :class:`ControlHost` process;
 * each **group** exposes a :class:`GroupPort` that accepts ``submit``
   envelopes (run this operation as session ``index``) and answers with
   ``reply`` envelopes carrying the committed response;
-* all crossings go through a :class:`Transport`, which samples a
-  latency per envelope: :class:`LocalTransport` schedules the delivery
-  on the one shared simulator (serial mode), :class:`MailboxTransport`
-  buffers it for the window driver (parallel mode).
+* every crossing is one :meth:`TransportEndpoint.send`, which samples a
+  latency and schedules the delivery on the shared simulator.
 
-Determinism across the two transports rests on three properties:
+What a group observes is a function of its own seed-derived streams and
+of the envelopes it is sent, never of which other groups happen to
+share the simulator.  Three properties carry that:
 
 1. **Per-endpoint draws.**  Each endpoint owns a forked ``"transport"``
-   rng stream (site-namespaced for groups) and a monotone send counter,
-   so latency draws are a function of that endpoint's send order alone —
-   identical whether the endpoint lives on a shared or dedicated
-   simulator.
-2. **Front-of-time delivery.**  Both transports hand the payload to the
-   destination ahead of the destination's own events at the delivery
-   instant (``call_at_front`` directly, or via the parallel inbox).
+   rng stream (site-namespaced for groups), so its latency draws are a
+   function of that endpoint's send order alone.
+2. **Front-of-time delivery.**  An envelope delivered at ``T`` was sent
+   strictly before ``T``, so it is handled ahead of the destination's
+   own events at ``T`` (:meth:`~repro.sim.core.Simulator.call_at_front`),
+   FIFO in send order.
 3. **Site stagger.**  Every endpoint adds a tiny site-specific constant
    (``site_index * 1e-6``) to each draw, so envelopes from *different*
-   sites never share a delivery instant at the control host; same-site
-   ties are ordered by send sequence in both transports.  The stagger is
-   orders of magnitude below every protocol timescale in the repository.
-
-The minimum transport latency is the parallel backend's lookahead; see
-:attr:`Transport.lookahead` and docs/PERFORMANCE.md.
+   sites never share a delivery instant at the control host.  The
+   stagger is orders of magnitude below every protocol timescale in the
+   repository.
 """
 
 from __future__ import annotations
@@ -43,8 +36,7 @@ from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional
 
 from ..sim.clocks import ClockModel
 from ..sim.core import Simulator
-from ..sim.latency import DelayModel, FixedDelay
-from ..sim.mailbox import Inbox, Outbox, WireMessage
+from ..sim.latency import DelayModel
 from ..sim.network import Network
 from ..sim.process import Process
 from ..sim.tasks import Future
@@ -59,7 +51,6 @@ __all__ = [
     "CONTROL_SITE",
     "TransportEndpoint",
     "LocalTransport",
-    "MailboxTransport",
     "ControlHost",
     "ControlPlane",
     "GroupPort",
@@ -85,145 +76,56 @@ def site_index(site: str) -> int:
 
 
 class TransportEndpoint:
-    """One site's sending half: latency draws, FIFO clamp, send seq."""
+    """One site's sending half: latency draws, site stagger, FIFO clamp."""
 
     def __init__(
         self,
         site: str,
         sim: Simulator,
         delay_model: DelayModel,
-        transport: "Transport",
+        handlers: dict[str, Callable[[Any], None]],
     ) -> None:
         self.site = site
         self.sim = sim
         self.delay_model = delay_model
-        self.transport = transport
+        self._handlers = handlers
         self._stagger = site_index(site) * _STAGGER
-        # Group endpoints namespace the stream by site so the draws are
-        # the same on a shared and a dedicated simulator; the control
-        # endpoint's stream is plain "transport" in both worlds.
+        # Group endpoints namespace the stream by site, so a group's
+        # draws do not depend on how many groups share the simulator.
         self.rng = sim.fork_rng(
             "transport", site=None if site == CONTROL_SITE else site
         )
-        self._seq = 0
         self._last_delivery: dict[str, float] = {}
 
     def send(self, dst: str, payload: Any) -> None:
-        now = self.sim.now
         delay = self.delay_model.sample(
             site_index(self.site), site_index(dst), self.rng
         )
-        deliver_at = now + delay + self._stagger
+        deliver_at = self.sim.now + delay + self._stagger
         # FIFO per (src, dst) site pair, like the in-group network links.
         floor = self._last_delivery.get(dst, 0.0)
         if deliver_at < floor:
             deliver_at = floor
         self._last_delivery[dst] = deliver_at
-        seq = self._seq
-        self._seq = seq + 1
-        self.transport.dispatch(
-            WireMessage(self.site, seq, now, deliver_at, dst, payload)
-        )
+        self.sim.call_at_front(deliver_at, self._handlers[dst], payload)
 
 
-class Transport:
-    """Factory for endpoints plus the delivery strategy."""
+class LocalTransport:
+    """The cross-site link: one delay model, one handler per site."""
 
-    def __init__(self, delay_model: Optional[DelayModel] = None) -> None:
+    def __init__(self, sim: Simulator, delay_model: DelayModel) -> None:
+        self.sim = sim
         self.delay_model = delay_model
-
-    def _resolve_delay(self, default: DelayModel) -> DelayModel:
-        if self.delay_model is None:
-            self.delay_model = default
-        return self.delay_model
-
-    @property
-    def lookahead(self) -> float:
-        """Minimum cross-site delivery latency (the window length)."""
-        if self.delay_model is None:
-            raise RuntimeError("no endpoint built yet; delay model unset")
-        return self.delay_model.minimum
-
-    def endpoint(
-        self,
-        site: str,
-        sim: Simulator,
-        handler: Callable[[Any], None],
-        default_delay: DelayModel,
-    ) -> TransportEndpoint:
-        raise NotImplementedError
-
-    def dispatch(self, message: WireMessage) -> None:
-        raise NotImplementedError
-
-
-class LocalTransport(Transport):
-    """All sites share one simulator; deliveries are scheduled directly.
-
-    ``call_at_front`` keeps same-instant deliveries ahead of the
-    destination's own events and FIFO in dispatch (= send) order,
-    matching the parallel inbox's flush order.
-    """
-
-    def __init__(self, delay_model: Optional[DelayModel] = None) -> None:
-        super().__init__(delay_model)
         self._handlers: dict[str, Callable[[Any], None]] = {}
-        self._sim: Optional[Simulator] = None
 
     def endpoint(
-        self,
-        site: str,
-        sim: Simulator,
-        handler: Callable[[Any], None],
-        default_delay: DelayModel,
+        self, site: str, handler: Callable[[Any], None]
     ) -> TransportEndpoint:
-        if self._sim is None:
-            self._sim = sim
-        elif self._sim is not sim:
-            raise ValueError("LocalTransport sites must share one simulator")
+        """Register ``site``'s receiving handler; return its sending half."""
         self._handlers[site] = handler
         return TransportEndpoint(
-            site, sim, self._resolve_delay(default_delay), self
+            site, self.sim, self.delay_model, self._handlers
         )
-
-    def dispatch(self, message: WireMessage) -> None:
-        self._sim.call_at_front(
-            message.deliver_at, self._deliver, message.dst, message.payload
-        )
-
-    def _deliver(self, dst: str, payload: Any) -> None:
-        self._handlers[dst](payload)
-
-
-class MailboxTransport(Transport):
-    """One site per process; envelopes go through outbox/inbox pairs.
-
-    Each side of the parallel run constructs its own instance for its
-    single local site; the window driver routes drained envelopes to
-    the destination side's inbox.
-    """
-
-    def __init__(self, delay_model: Optional[DelayModel] = None) -> None:
-        super().__init__(delay_model)
-        self.outbox = Outbox()
-        self.inbox: Optional[Inbox] = None
-
-    def endpoint(
-        self,
-        site: str,
-        sim: Simulator,
-        handler: Callable[[Any], None],
-        default_delay: DelayModel,
-    ) -> TransportEndpoint:
-        if self.inbox is not None:
-            raise ValueError("MailboxTransport hosts exactly one site")
-        self.inbox = Inbox(sim, handler)
-        return TransportEndpoint(
-            site, sim, self._resolve_delay(default_delay), self
-        )
-
-    def dispatch(self, message: WireMessage) -> None:
-        self.outbox.append(message)
 
 
 class ControlHost(Process):
@@ -240,18 +142,12 @@ class ControlHost(Process):
 
 
 class ControlPlane:
-    """Shard map, request bridging, and fenced handoffs for one cluster.
-
-    Both cluster façades — serial :class:`~repro.shard.cluster.ShardedCluster`
-    and parallel :class:`~repro.shard.parallel.ParallelShardedCluster` —
-    delegate here, so routing and handoff logic exist once and behave
-    identically over either transport.
-    """
+    """Shard map, request bridging, and fenced handoffs for one cluster."""
 
     def __init__(
         self,
         sim: Simulator,
-        transport: Transport,
+        transport: LocalTransport,
         shard_map: ShardMap,
         num_groups: int,
         num_clients: int,
@@ -259,7 +155,6 @@ class ControlPlane:
         obs: "Optional[ObsContext]" = None,
     ) -> None:
         self.sim = sim
-        self.transport = transport
         self.map = shard_map
         self.num_groups = num_groups
         self.num_clients = num_clients
@@ -267,9 +162,7 @@ class ControlPlane:
         net = Network(sim, delta=delta)
         clocks = ClockModel(1, 0.0, offsets=[0.0])
         self.host = ControlHost(0, sim, net, clocks)
-        self.endpoint = transport.endpoint(
-            CONTROL_SITE, sim, self._on_message, FixedDelay(delta)
-        )
+        self.endpoint = transport.endpoint(CONTROL_SITE, self._on_message)
         #: Completed handoff records (dicts), in completion order.
         self.handoffs: list[dict[str, Any]] = []
         self._last_handoff: Optional[Future] = None
@@ -389,36 +282,21 @@ class GroupPort:
     """One group's receiving half: submit envelopes in, replies out.
 
     The port is the group's **only** cross-site sender: every envelope a
-    group emits is a ``reply`` to a ``submit`` still in flight here.
-    ``in_flight`` counts those open requests, which lets the parallel
-    backend's earliest-output-time promise (see
-    :meth:`repro.shard.parallel._GroupNode.eot`) report "cannot emit
-    before my next inbox flush" whenever the count is zero — the group
-    may be furiously renewing leases and serving local reads, but none
-    of that crosses the seam.
+    group emits is a ``reply`` to a ``submit`` it received here.
     """
 
     def __init__(
-        self,
-        gid: int,
-        group: "ChtCluster",
-        transport: Transport,
-        delta: float,
+        self, gid: int, group: "ChtCluster", transport: LocalTransport
     ) -> None:
         self.gid = gid
         self.group = group
-        self.in_flight = 0
-        self.endpoint = transport.endpoint(
-            site_of(gid), group.sim, self._on_message, FixedDelay(delta)
-        )
+        self.endpoint = transport.endpoint(site_of(gid), self._on_message)
 
     def _on_message(self, payload: tuple) -> None:
         kind, index, req_id, op = payload
         assert kind == "submit", payload
-        self.in_flight += 1
         future = self.group.clients[index].submit(op)
         future.on_resolve(lambda value: self._reply(req_id, value))
 
     def _reply(self, req_id: int, value: Any) -> None:
         self.endpoint.send(CONTROL_SITE, ("reply", req_id, value))
-        self.in_flight -= 1

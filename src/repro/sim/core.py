@@ -170,13 +170,11 @@ class Simulator:
         """Schedule ``callback`` at ``time``, ahead of every normally
         scheduled event with the same timestamp.
 
-        Used by the parallel backend's inbox: a cross-partition message
-        timestamped ``T`` must run before the receiving simulator's own
-        events at ``T``, because in the single-simulator oracle the
-        message was scheduled by a sender running strictly before ``T``
-        and therefore carries a smaller sequence number than anything
-        the receiver schedules once ``T`` is reached.  Front events keep
-        FIFO order among themselves.
+        Used by the sharded cross-site transport: an envelope delivered
+        at ``T`` was sent strictly before ``T``, so it must run before
+        the receiving site's own events at ``T`` however many of those
+        were scheduled earlier.  Front events keep FIFO order among
+        themselves.
         """
         if time < self.now:
             raise SimulationError(
@@ -265,7 +263,6 @@ class Simulator:
         until: Optional[float] = None,
         max_events: Optional[int] = None,
         stop_when: Optional[Callable[[], bool]] = None,
-        exclusive: bool = False,
     ) -> None:
         """Run the event loop.
 
@@ -279,12 +276,6 @@ class Simulator:
         stop_when:
             Predicate evaluated after every event; the loop exits once it
             returns True.
-        exclusive:
-            Process events strictly *before* ``until`` and leave events at
-            exactly ``until`` on the heap (the clock still advances to
-            ``until``).  The parallel backend runs each sync window
-            exclusively so boundary-timestamped events fall into the next
-            window, after that window's cross-partition ingest.
         """
         processed = 0
         self._stopped = False
@@ -292,15 +283,9 @@ class Simulator:
         alive = self._alive
         pop = heapq.heappop
         # The horizon/budget checks are folded into constants hoisted out
-        # of the loop: ``deadline`` is +inf for an unbounded run and the
-        # largest representable float below ``until`` for an exclusive
-        # window, so one float compare replaces two None tests per event.
-        if until is None:
-            deadline = math.inf
-        elif exclusive:
-            deadline = math.nextafter(until, -math.inf)
-        else:
-            deadline = until
+        # of the loop: ``deadline`` is +inf for an unbounded run, so one
+        # float compare replaces two None tests per event.
+        deadline = math.inf if until is None else until
         budget = -1 if max_events is None else max_events
         # The loop below is the hottest code in the repository; it inlines
         # step() so per-event cost is one pop, one set probe, and the
@@ -344,22 +329,6 @@ class Simulator:
         """Scheduled events that are neither fired nor cancelled.  O(1)."""
         return len(self._alive)
 
-    def next_event_time(self) -> float:
-        """Timestamp of the earliest live event, or ``+inf`` when idle.
-
-        Tombstones encountered at the heap top are discarded on the way
-        (they are dead weight the next pop would skip anyway), so the
-        peek is amortized O(1).  The parallel backend's adaptive window
-        sync (:mod:`repro.sim.parallel`) uses this as the base of each
-        partition's earliest-output-time promise.
-        """
-        heap = self._heap
-        alive = self._alive
-        pop = heapq.heappop
-        while heap and heap[0][1] not in alive:
-            pop(heap)
-        return heap[0][0] if heap else math.inf
-
     def fork_rng(self, label: str, site: Optional[str] = None) -> random.Random:
         """Derive an independent, deterministic RNG stream for a component.
 
@@ -370,9 +339,8 @@ class Simulator:
         component's randomness.
 
         ``site`` namespaces the label (``"{site}/{label}"``).  Sharded
-        clusters pass each group's site so a group's streams are the same
-        whether all groups share one simulator (the serial oracle) or each
-        group runs on its own simulator (the parallel backend) — without
+        clusters pass each group's site so a group's streams do not
+        depend on how many other groups share the simulator — without
         it, fork *counts* for a shared label would entangle the groups.
         """
         if site is not None:

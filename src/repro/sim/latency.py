@@ -54,19 +54,6 @@ class DelayModel(ABC):
     def maximum(self) -> float:
         """An upper bound on any delay this model can produce."""
 
-    @property
-    def minimum(self) -> float:
-        """A lower bound on any delay this model can produce.
-
-        The parallel backend's lookahead is the minimum cross-partition
-        delivery latency: a message sent at ``s`` arrives no earlier than
-        ``s + minimum``, so simulators synchronized every ``minimum``
-        time units never receive a message from their past.  The default
-        is the trivially safe 0.0 (which forbids parallel execution);
-        models override it with their true bound.
-        """
-        return 0.0
-
 
 class FixedDelay(DelayModel):
     """Every message takes exactly ``delay`` time units."""
@@ -86,10 +73,6 @@ class FixedDelay(DelayModel):
 
     @property
     def maximum(self) -> float:
-        return self.delay
-
-    @property
-    def minimum(self) -> float:
         return self.delay
 
     def __repr__(self) -> str:
@@ -118,10 +101,6 @@ class UniformDelay(DelayModel):
     @property
     def maximum(self) -> float:
         return self.high
-
-    @property
-    def minimum(self) -> float:
-        return self.low
 
     def __repr__(self) -> str:
         return f"UniformDelay({self.low}, {self.high})"
@@ -174,10 +153,6 @@ class SpikeDelay(DelayModel):
     def maximum(self) -> float:
         return self.spike_high
 
-    @property
-    def minimum(self) -> float:
-        return self.base_low
-
     def __repr__(self) -> str:
         return (
             f"SpikeDelay({self.base_low}, {self.base_high}, "
@@ -221,10 +196,6 @@ class GeoDelay(DelayModel):
     @property
     def maximum(self) -> float:
         return max(max(row) for row in self.matrix) + self.jitter
-
-    @property
-    def minimum(self) -> float:
-        return min(min(row) for row in self.matrix)
 
     def __repr__(self) -> str:
         return f"GeoDelay(regions={len(self.matrix)}, jitter={self.jitter})"

@@ -7,7 +7,6 @@ import pytest
 from repro.analysis.parallel import (
     WORKERS_ENV,
     WorkerCrash,
-    cell_count,
     default_workers,
     parallel_imap,
     parallel_map,
@@ -121,9 +120,6 @@ class TestStarmapAndCells:
         serial = run_cells(_describe, ("a", "b"), (1, 2), 0, workers=1)
         parallel = run_cells(_describe, ("a", "b"), (1, 2), 0, workers=4)
         assert serial == parallel
-
-    def test_cell_count(self):
-        assert cell_count(("a", "b", "c"), (1, 2)) == 6
 
 
 class TestWorkerConfig:

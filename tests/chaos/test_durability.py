@@ -120,20 +120,13 @@ class TestVerdicts:
         result = runner.run(gen.generate(1))
         assert result.ok, result
 
-    def test_sharded_serial_and_parallel_verdicts_match(self):
+    def test_durable_schedule_passes_on_sharded(self):
         schedule = ScheduleGenerator(n=5, num_clients=2, seed=0,
                                      durability=True).generate(1)
-        results = []
-        for parallel_sim in (False, True):
-            runner = NemesisRunner(
-                system="sharded", n=5, num_clients=2, seed=0,
-                ops_per_client=4, durability=True,
-                parallel_sim=parallel_sim,
-            )
-            result = runner.run(schedule)
-            results.append((result.ok, result.kind, result.ops_completed))
-        assert results[0] == results[1]
-        assert results[0][0], results
+        runner = NemesisRunner(system="sharded", n=5, num_clients=2, seed=0,
+                               ops_per_client=4, durability=True)
+        result = runner.run(schedule)
+        assert result.ok, result
 
     def test_planted_fsync_bug_detected_shrunk_and_replayed(self, tmp_path):
         gen = ScheduleGenerator(n=5, num_clients=2, seed=0, durability=True)

@@ -107,21 +107,14 @@ class TestVerdicts:
             result = runner.run(generator.generate(index))
             assert result.ok, f"schedule {index}: {result}"
 
-    def test_sharded_serial_and_parallel_verdicts_match(self):
+    def test_leaseholder_schedule_passes_on_sharded(self):
         schedule = ScheduleGenerator(n=5, num_clients=2, seed=0,
                                      num_leaseholders=2,
                                      leaseholder_base=8).generate(1)
-        results = []
-        for parallel_sim in (False, True):
-            runner = NemesisRunner(
-                system="sharded", n=5, num_clients=2, seed=0,
-                ops_per_client=4, num_leaseholders=2,
-                parallel_sim=parallel_sim,
-            )
-            result = runner.run(schedule)
-            results.append((result.ok, result.kind, result.ops_completed))
-        assert results[0] == results[1]
-        assert results[0][0], results
+        runner = NemesisRunner(system="sharded", n=5, num_clients=2, seed=0,
+                               ops_per_client=4, num_leaseholders=2)
+        result = runner.run(schedule)
+        assert result.ok, result
 
 
 class TestPlantedBug:

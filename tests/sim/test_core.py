@@ -380,41 +380,27 @@ def test_call_at_front_runs_before_same_time_events():
     assert order == ["earlier", "front-a", "front-b", "normal"]
 
 
+def test_call_at_front_from_inside_an_event_at_the_same_instant():
+    # A delivery for "now" scheduled while "now" is already running (a
+    # zero-latency reply) still goes ahead of the normal events waiting
+    # at that instant, behind the front events already queued.
+    sim = Simulator()
+    order = []
+
+    def first():
+        order.append("front-a")
+        sim.call_at_front(5.0, lambda: order.append("front-late"))
+
+    sim.schedule_at(5.0, lambda: order.append("normal"))
+    sim.call_at_front(5.0, first)
+    sim.call_at_front(5.0, lambda: order.append("front-b"))
+    sim.run()
+    assert order == ["front-a", "front-b", "front-late", "normal"]
+
+
 def test_call_at_front_rejects_the_past():
     sim = Simulator()
     sim.schedule_at(10.0, lambda: None)
     sim.run()
     with pytest.raises(SimulationError):
         sim.call_at_front(5.0, lambda: None)
-
-
-def test_exclusive_run_leaves_boundary_events_pending():
-    sim = Simulator()
-    fired = []
-    sim.schedule_at(5.0, lambda: fired.append("early"))
-    sim.schedule_at(10.0, lambda: fired.append("boundary"))
-    sim.run(until=10.0, exclusive=True)
-    assert fired == ["early"]
-    assert sim.now == 10.0  # clock still advances to the window end
-    # The boundary event is not lost: an inclusive pass picks it up.
-    sim.run(until=10.0)
-    assert fired == ["early", "boundary"]
-
-
-def test_exclusive_windows_compose_to_an_inclusive_run():
-    def build():
-        sim = Simulator()
-        log = []
-        for t in (1.0, 2.5, 5.0, 7.5, 10.0):
-            sim.schedule_at(t, lambda t=t: log.append((t, sim.now)))
-        return sim, log
-
-    serial_sim, serial_log = build()
-    serial_sim.run(until=10.0)
-
-    windowed_sim, windowed_log = build()
-    for t_end in (2.5, 5.0, 7.5, 10.0):
-        windowed_sim.run(until=t_end, exclusive=True)
-    windowed_sim.run(until=10.0)  # boundary pass
-    assert windowed_log == serial_log
-    assert windowed_sim.now == serial_sim.now == 10.0

@@ -5,6 +5,7 @@ declares its accounting category, every public module is documented, and
 the experiment scripts stay registered in the pytest suite.
 """
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -81,3 +82,21 @@ def test_public_classes_have_docstrings():
             if not (cls.__doc__ or "").strip():
                 undocumented.append(f"{module.__name__}.{name}")
     assert not undocumented, undocumented
+
+
+def test_one_module_owns_the_process_pool():
+    # One process pool, one place that forks: everything parallel goes
+    # through repro.analysis.parallel (chaos soak --workers, run_cells).
+    importers = set()
+    for module in _all_modules():
+        tree = ast.parse(inspect.getsource(module))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n.split(".")[0] == "multiprocessing" for n in names):
+                importers.add(module.__name__)
+    assert importers == {"repro.analysis.parallel"}
