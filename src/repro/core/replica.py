@@ -1,6 +1,12 @@
 """The replication algorithm (paper Section 3).
 
-Each :class:`ChtReplica` implements the paper's three logical threads:
+A :class:`ChtReplica` is a :class:`~repro.core.learner.Learner` (the
+batch log, apply, compaction, snapshots, catch-up and the local read
+path it shares with the leaseholder tier) plus the black code, the
+leader's red code (lease issuance, the implicit lease) and the durable
+layer, hooked into the learner's steps.
+
+Each replica implements the paper's three logical threads:
 
 * **Thread 1** — handles the RMW and read operations submitted at this
   process (``submit_rmw`` / ``submit_read`` spawn per-operation tasks).
@@ -18,10 +24,10 @@ reads go through consensus.
 
 Stable versus volatile state: batches, the estimate, and the promise
 timestamp survive crashes (they are the Paxos acceptor state and the log),
-while leases, leadership tenure, and client tasks are volatile and reset
-by :meth:`on_crash`.  The class-level ``STABLE_ATTRS`` /
-``_VOLATILE_FACTORIES`` / ``INFRA_ATTRS`` tables classify every instance
-attribute and drive the reset (pinned by
+while leases, pending batches, leadership tenure, and client tasks are
+volatile and reset by :meth:`on_crash`.  The class-level ``STABLE_ATTRS``
+/ ``_VOLATILE_FACTORIES`` / ``INFRA_ATTRS`` tables extend the learner's
+and classify every instance attribute (pinned by
 tests/core/test_volatile_reset.py).  Without a durability layer the
 stable attributes simply survive in memory — perfect write-ahead
 persistence.  With :meth:`attach_durability` every stable-state mutation
@@ -34,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Any, Generator, Iterable, Optional
+from typing import Any, Generator, Optional
 
 from ..durable.layer import SEQ_RESERVE_BLOCK, ReplicaDurability
 from ..durable.wal import BatchRec, EstimateRec, PromiseRec, SeqReserve, SnapRecord
@@ -42,16 +48,14 @@ from ..objects.spec import NOOP, ObjectSpec, Operation, OpInstance
 from ..sim.clocks import ClockModel
 from ..sim.core import Simulator
 from ..sim.network import Network
-from ..sim.process import Process
-from ..sim.tasks import Future, Sleep, Until
+from ..sim.tasks import Future, Sleep
 from ..sim.trace import RunStats
 from ..leader.enhanced import EnhancedLeaderService
 from ..leader.omega import HeartbeatOmega, OmegaDetector
 from ..verify.invariants import BatchMonitor, LeaderIntervalMonitor
 from .config import ChtConfig
-from .readpath import LocalReadMixin
+from .learner import Learner
 from .messages import (
-    BatchReply,
     BatchRequest,
     ClientReply,
     ClientRequest,
@@ -66,13 +70,9 @@ from .messages import (
     Snapshot,
     SubmitOp,
 )
-from .state import COMPACTED, ReadLease, Tenure
+from .state import COMPACTED, Tenure
 
 __all__ = ["ChtReplica", "CommitRecord"]
-
-
-def _noop() -> None:
-    """Shared timer callback for pure wake-up timers (see ``_wait``)."""
 
 
 class CommitRecord:
@@ -93,7 +93,7 @@ class CommitRecord:
         return self.committed_local - self.started_local
 
 
-class ChtReplica(LocalReadMixin, Process):
+class ChtReplica(Learner):
     """One process of the replicated object."""
 
     def __init__(
@@ -111,17 +111,9 @@ class ChtReplica(LocalReadMixin, Process):
         site: Optional[str] = None,
         runtime: Optional[Any] = None,
     ) -> None:
-        if spec is None or config is None:
-            raise ValueError("spec and config are required")
-        super().__init__(pid, sim, net, clocks, site=site, runtime=runtime)
-        self.spec = spec
-        self.config = config
-        self.stats = stats if stats is not None else RunStats()
+        super().__init__(pid, sim, net, clocks, spec, config, stats,
+                         site=site, runtime=runtime)
         self.batch_monitor = batch_monitor
-        # Extra metric/span labels in multi-group runs (pids collide
-        # across groups); empty — so metric names stay unchanged — in
-        # ordinary single-group runs.
-        self._site_label = {} if site is None else {"site": site}
 
         detector = omega or HeartbeatOmega(
             self, config.heartbeat_period, config.heartbeat_timeout
@@ -136,29 +128,15 @@ class ChtReplica(LocalReadMixin, Process):
         )
 
         # --- stable state (survives crashes) --------------------------
-        self.batches: dict[int, frozenset] = {}
+        # (The learned log, state and op-id counter live in Learner; with
+        # a durability layer the counter restarts above the durably
+        # reserved block, see _recover_from_storage.)
         self.estimate: Optional[Estimate] = None
         # The phase-1 promise: the largest leadership time seen in an
         # EstReq or Prepare; this process rejects Prepares from older
         # leaders, which is what makes estimate transfer safe.
         self.max_leader_ts_seen: float = -math.inf
-        self.applied_upto: int = 0
-        self.state: Any = spec.initial_state()
         self.committed_op_ids: set[tuple[int, int]] = set()
-        # Log compaction: batches <= pruned_upto have been folded into the
-        # state; last_applied[pid] = (seq, response) of pid's most recent
-        # applied operation (carried by snapshots for exactly-once
-        # response recovery).
-        self.pruned_upto: int = 0
-        self.last_applied: dict[int, tuple[int, Any]] = {}
-        # The op-id counter is stable, not volatile: invariant I1 forbids
-        # an op id from ever appearing in two batches, so a restarted
-        # replica must not reissue ids.  (It was historically listed
-        # under volatile state but — correctly — never reset.)  Without
-        # a durability layer it survives in memory like the rest of the
-        # stable block; with one it restarts above the durably reserved
-        # block (see _recover_from_storage).
-        self._op_seq = 0
 
         # Durability seam: None means the legacy crash-stop model where
         # stable state survives in memory.  attach_durability installs a
@@ -167,8 +145,8 @@ class ChtReplica(LocalReadMixin, Process):
         self.durable: Optional[ReplicaDurability] = None
 
         # --- volatile state -------------------------------------------
-        self.pending_batches: dict[int, frozenset] = {}
-        self.lease: Optional[ReadLease] = None
+        # (pending_batches is volatile here: a surviving estimate is
+        # re-seeded into it on recovery, see _reseed_pending.)
         self.tenure: Optional[Tenure] = None
         self.submit_queue: dict[tuple[int, int], OpInstance] = {}
         # Local time the oldest queued submission arrived; anchors the
@@ -178,18 +156,11 @@ class ChtReplica(LocalReadMixin, Process):
         self._acks: dict[tuple[float, int], set[int]] = {}
         self._est_replies: dict[float, dict[int, EstReply]] = {}
         self._last_commit: Optional[Commit] = None
-        self._catchup_target: int = 0
-        self._fetching: bool = False
-        self._client_read_tasks: set[tuple[int, int]] = set()
         # Observability: submission timestamps (sim time) for the
         # commit-latency queue-wait phase.  Only populated when an
         # ObsContext is attached (self.obs, cached by Process.__init__);
         # stays empty — and costs nothing — otherwise.
         self._submit_times: dict[tuple[int, int], float] = {}
-        # Fault-injection switches for the chaos harness: names of
-        # deliberately disabled mechanisms (e.g. "skip_reply_cache").
-        # Empty in normal operation.
-        self.bug_switches: set[str] = set()
 
         # Experiment instrumentation.
         self.commit_log: list[CommitRecord] = []
@@ -205,20 +176,18 @@ class ChtReplica(LocalReadMixin, Process):
         # they never count toward a commit majority.
         self.leaseholder_pids: frozenset[int] = frozenset()
 
-    # Classification of every instance attribute ChtReplica.__init__
-    # defines beyond the Process base class.  on_crash is driven by the
+    # Classification of every instance attribute beyond the Process base
+    # class, extending Learner's rows.  on_crash is driven by the
     # volatile table, and tests/core/test_volatile_reset.py fails when a
     # new attribute is added without classifying it here — an
     # unclassified field is exactly how accidental durability (or
     # accidental amnesia) slips in.
-    STABLE_ATTRS = frozenset({
-        "batches", "estimate", "max_leader_ts_seen", "applied_upto",
-        "state", "committed_op_ids", "pruned_upto", "last_applied",
-        "_op_seq",
-    })
+    STABLE_ATTRS = Learner.STABLE_ATTRS | {
+        "estimate", "max_leader_ts_seen", "committed_op_ids",
+    }
     _VOLATILE_FACTORIES = {
+        **Learner._VOLATILE_FACTORIES,
         "pending_batches": dict,
-        "lease": lambda: None,
         "tenure": lambda: None,
         "submit_queue": dict,
         "_queue_since": lambda: None,
@@ -226,18 +195,12 @@ class ChtReplica(LocalReadMixin, Process):
         "_acks": dict,
         "_est_replies": dict,
         "_last_commit": lambda: None,
-        "_catchup_target": lambda: 0,
-        "_fetching": lambda: False,
-        "_client_read_tasks": set,
         "_submit_times": dict,
     }
-    # Identity, configuration, and run-long instrumentation: not state
-    # of the replicated object, untouched by crashes.
-    INFRA_ATTRS = frozenset({
-        "spec", "config", "stats", "batch_monitor", "_site_label",
-        "leader_service", "bug_switches", "commit_log", "tenure_history",
+    INFRA_ATTRS = Learner.INFRA_ATTRS | {
+        "batch_monitor", "leader_service", "commit_log", "tenure_history",
         "_others", "leaseholder_pids", "durable",
-    })
+    }
 
     # ==================================================================
     # Lifecycle
@@ -258,11 +221,7 @@ class ChtReplica(LocalReadMixin, Process):
         self.durable = layer
 
     def on_crash(self) -> None:
-        # Every volatile attribute vanishes with the process; the
-        # classification table drives the reset so a newly added field
-        # cannot be silently forgotten.
-        for attr, factory in self._VOLATILE_FACTORIES.items():
-            setattr(self, attr, factory())
+        super().on_crash()
         if self.durable is not None:
             # Durable mode: memory is gone wholesale.  The stable block
             # lives on the storage model now; on_recover rebuilds it
@@ -282,20 +241,20 @@ class ChtReplica(LocalReadMixin, Process):
         if self.durable is not None:
             self._recover_from_storage()
         else:
-            # Crash-stop model: the stable block survived in memory, but
-            # pending_batches is volatile and was just reset.  The
-            # surviving estimate may have been externalized through a
-            # PrepareAck before the crash — that ack can have released
-            # the leader from this process's lease wait — so the read
-            # path must keep treating it as pending or a post-recovery
-            # lease could serve a read around an in-flight conflicting
-            # batch.  (The durable path does the same reseed from the
-            # recovered estimate in _recover_from_storage.)
-            est = self.estimate
-            if est is not None and est.k not in self.batches:
-                self.pending_batches[est.k] = est.ops
+            self._reseed_pending()
         self.leader_service.on_recover()
         self.start()
+
+    def _reseed_pending(self) -> None:
+        """Treat an uncommitted estimate as a pending batch again.
+
+        pending_batches is volatile, but the estimate may have been
+        externalized through a PrepareAck before the crash — that ack can
+        have released the leader from this process's lease wait — so a
+        post-recovery lease must not serve a read around it."""
+        est = self.estimate
+        if est is not None and est.k not in self.batches:
+            self.pending_batches[est.k] = est.ops
 
     def _recover_from_storage(self) -> None:
         """Rebuild the stable block from snapshot + WAL replay."""
@@ -318,10 +277,9 @@ class ChtReplica(LocalReadMixin, Process):
         # the recovered floor, covering ids whose reservation record was
         # still unsynced at the crash.
         self._op_seq = recovered.seq_floor(self.pid) + SEQ_RESERVE_BLOCK
-        # An uncommitted durable estimate is a pending batch again.
-        est = recovered.estimate
-        if est is not None and est.k not in self.batches:
-            self.pending_batches[est.k] = est.ops
+        # Every boot path (on_recover, or a direct call at process start
+        # over persistent storage) needs the reseed, so it lives here.
+        self._reseed_pending()
         # Re-announce recovered batches to the run-wide monitor: the
         # re-record is idempotent when the durable value matches what
         # this pid reported before the crash, and raises (an invariant
@@ -375,13 +333,13 @@ class ChtReplica(LocalReadMixin, Process):
         return future
 
     def _next_op_id(self) -> tuple[int, int]:
-        self._op_seq += 1
+        op_id = super()._next_op_id()
         if self.durable is not None:
             # Cover the id with a durable block reservation (one WAL
             # record per SEQ_RESERVE_BLOCK ids); the barriers below sync
             # it before the id can leave this process.
             self.durable.reserve_seq(self._op_seq)
-        return (self.pid, self._op_seq)
+        return op_id
 
     def _sync_barrier(self) -> Generator:
         """Suspend until every WAL record appended so far is durable.
@@ -441,22 +399,28 @@ class ChtReplica(LocalReadMixin, Process):
     # ------------------------------------------------------------------
     # Read path (red code; paper lines 7-19)
     # ------------------------------------------------------------------
-    # submit_read / _read_task / _compute_k_hat and the session-read
-    # tasks live in LocalReadMixin (repro.core.readpath), shared with the
-    # read-only leaseholder tier.  The replica contributes the one piece
-    # a learner cannot have: the leader's implicit lease.
+    # The read path is Learner's, shared with the read-only leaseholder
+    # tier.  The replica contributes the one piece a leaseholder cannot
+    # have: the leader's implicit lease.
 
-    def _leader_lease_valid(self) -> bool:
+    def _leader_lease_k(self) -> Optional[int]:
         """The leader's implicit lease: it commits every batch itself, so
-        once initialized it can read its own latest committed state without
-        holding an explicit lease (paper: "the permanently elected leader
-        ... can always read without blocking")."""
+        once initialized it can read its own latest committed state
+        (batch ``tenure.k``) without holding an explicit lease (paper:
+        "the permanently elected leader ... can always read without
+        blocking")."""
         tenure = self.tenure
-        return (
+        if (
             tenure is not None
             and tenure.ready
             and self.leader_service.am_leader(tenure.t, self.local_time)
-        )
+        ):
+            return tenure.k
+        return None
+
+    def is_leader(self) -> bool:
+        """Is this process currently an initialized leader?"""
+        return self._leader_lease_k() is not None
 
     # ==================================================================
     # Thread 2: leadership loop (paper lines 20-23)
@@ -1028,76 +992,28 @@ class ChtReplica(LocalReadMixin, Process):
         if acks is not None:
             acks.add(src)
 
-    def _on_commit(self, src: int, msg: Commit) -> None:
-        self._store_batch(msg.j, msg.ops)
-        self._apply_ready()
-        if self.applied_upto < msg.j:
-            self._ensure_catchup(msg.j)
-
-    def _on_lease_grant(self, src: int, msg: LeaseGrant) -> None:
-        # Red code (paper lines 102-106): only current leaseholders may
-        # refresh their lease; everyone else asks to be reintegrated.
-        if self.pid in msg.leaseholders:
-            if self.lease is None or msg.ts > self.lease.ts:
-                self.lease = ReadLease(msg.k, msg.ts)
-        else:
-            self.send(src, LeaseRequest())
-        if msg.k > self.applied_upto:
-            self._ensure_catchup(msg.k)
-
     def _on_lease_request(self, src: int, msg: LeaseRequest) -> None:
         # Red code (line 46): reintegrate the requester.
         if self.tenure is not None:
             self.tenure.leaseholders.add(src)
 
-    def _on_batch_request(self, src: int, msg: BatchRequest) -> None:
-        known = tuple(
-            (j, self.batches[j]) for j in sorted(msg.wanted)
-            if j in self.batches
-        )
-        # Requests below our compaction point are served by snapshot.
-        snapshot = None
-        if any(1 <= j <= self.pruned_upto for j in msg.wanted):
-            snapshot = self._make_snapshot()
-        if known or snapshot is not None:
-            self.send(src, BatchReply(known, snapshot))
-
-    def _on_batch_reply(self, src: int, msg: BatchReply) -> None:
-        if msg.snapshot is not None:
-            self._install_snapshot(msg.snapshot)
-        for j, ops in msg.batches:
-            self._store_batch(j, ops)
-        self._apply_ready()
-
     _HANDLERS = {
+        **Learner._HANDLERS,
         "SubmitOp": _on_submit,
         "ClientRequest": _on_client_request,
         "EstReq": _on_est_req,
         "EstReply": _on_est_reply,
         "Prepare": _on_prepare,
         "PrepareAck": _on_prepare_ack,
-        "Commit": _on_commit,
-        "LeaseGrant": _on_lease_grant,
         "LeaseRequest": _on_lease_request,
-        "BatchRequest": _on_batch_request,
-        "BatchReply": _on_batch_reply,
     }
 
     # ==================================================================
-    # Batch storage and application
+    # Batch storage and application (extending Learner's)
     # ==================================================================
-    def _store_batch(self, j: int, ops: frozenset) -> None:
-        if j < 1:
-            return
-        existing = self.batches.get(j)
-        if existing is not None:
-            if existing != ops:
-                raise AssertionError(
-                    f"I1 violated locally at {self.pid}: batch {j} "
-                    f"rewritten from {set(existing)} to {set(ops)}"
-                )
-            return
-        self.batches[j] = ops
+    def _store_batch(self, j: int, ops: frozenset) -> bool:
+        if not super()._store_batch(j, ops):
+            return False
         if self.durable is not None:
             # Lazy (group-commit): the record rides the next sync
             # barrier.  Commit durability is carried by the majority of
@@ -1108,69 +1024,30 @@ class ChtReplica(LocalReadMixin, Process):
             self.batch_monitor.record_batch(self.pid, j, ops, self.now)
         for instance in ops:
             self.committed_op_ids.add(instance.op_id)
-        self.pending_batches.pop(j, None)
+        return True
 
-    def _apply_ready(self) -> None:
-        """Apply committed batches in sequence to the local replica,
-        resolving the futures of our own operations.
+    def _on_applied(self, op_id: tuple[int, int], response: Any) -> None:
+        """Resolve the future of our own operation; answer a client
+        session whose operation was applied while we lead.  Followers
+        stay silent — the session retransmits and hits the reply cache
+        if this (or any later) reply is lost."""
+        pid = op_id[0]
+        if pid == self.pid:
+            future = self.op_futures.get(op_id)
+            if future is not None and not future.done:
+                future.resolve(response)
+        elif pid >= self.config.n and self.tenure is not None:
+            self.send(pid, ClientReply(pid, op_id[1], response))
 
-        Advances from the ``applied_upto`` frontier only — the batch log is
-        never rescanned — and the common no-progress call (every Commit
-        handler invokes this) costs a single dict probe.
-        """
-        batches = self.batches
-        j = self.applied_upto + 1
-        if j not in batches:
-            return
-        apply_any = self.spec.apply_any
-        last_applied = self.last_applied
-        my_pid = self.pid
-        obs = self.obs
-        while j in batches:
-            for instance in sorted(batches[j]):
-                self.state, response = apply_any(self.state, instance.op)
-                pid, seq = instance.op_id
-                prev = last_applied.get(pid)
-                if prev is None or seq > prev[0]:
-                    last_applied[pid] = (seq, response)
-                if pid == my_pid:
-                    future = self.op_futures.get(instance.op_id)
-                    if future is not None and not future.done:
-                        future.resolve(response)
-                elif pid >= self.config.n and self.tenure is not None:
-                    # A client-session operation applied while we lead:
-                    # send the response.  Followers stay silent — the
-                    # session retransmits and hits the reply cache if
-                    # this (or any later) reply is lost.
-                    self.send(pid, ClientReply(pid, seq, response))
-            self.applied_upto = j
-            if obs is not None:
-                obs.tracer.instant("batch.applied", "batch", my_pid, j=j)
-            j += 1
-        if obs is not None:
-            obs.registry.gauge("applied_upto", pid=my_pid).set(
-                self.applied_upto
-            )
-        self._maybe_compact()
+    def _on_batch_applied(self, j: int) -> None:
+        if self.obs is not None:
+            self.obs.tracer.instant("batch.applied", "batch", self.pid, j=j)
 
-    def _maybe_compact(self) -> None:
-        """Prune the batch log once it grows past the compaction window.
-
-        The current state *is* the snapshot of everything applied, so no
-        historical copy is kept; requests for pruned batches are answered
-        with a state snapshot instead (see ``_on_batch_request``).
-        """
-        interval = self.config.compaction_interval
-        if not interval:
-            return
-        target = self.applied_upto - self.config.compaction_retain
-        if target - self.pruned_upto < interval:
-            return
-        for j in range(self.pruned_upto + 1, target + 1):
-            self.batches.pop(j, None)
-        self.pruned_upto = target
-        if self.durable is not None:
+    def _maybe_compact(self) -> bool:
+        compacted = super()._maybe_compact()
+        if compacted and self.durable is not None:
             self._durable_checkpoint()
+        return compacted
 
     def _durable_checkpoint(self) -> None:
         """Fold the applied prefix into a durable snapshot.
@@ -1181,15 +1058,9 @@ class ChtReplica(LocalReadMixin, Process):
         the rewritten log preserves the durable-I2 append order.
         """
         durable = self.durable
-        snap = SnapRecord(
-            upto=self.applied_upto,
-            state=self.state,
-            last_applied=tuple(
-                (pid, seq, response)
-                for pid, (seq, response) in sorted(self.last_applied.items())
-            ),
-            taken_at=self.now,
-        )
+        base = self._make_snapshot()
+        snap = SnapRecord(base.upto, base.state, base.last_applied,
+                          taken_at=self.now)
         tail: list = []
         if durable.seq_reserved:
             tail.append(SeqReserve(durable.seq_reserved))
@@ -1203,35 +1074,24 @@ class ChtReplica(LocalReadMixin, Process):
             tail.append(EstimateRec(est.ops, est.ts, est.k))
         durable.checkpoint(snap, tail)
 
-    def _make_snapshot(self) -> Snapshot:
-        return Snapshot(
-            upto=self.applied_upto,
-            state=self.state,
-            last_applied=tuple(
-                (pid, seq, response)
-                for pid, (seq, response) in sorted(self.last_applied.items())
-            ),
-        )
+    def _install_snapshot(self, snapshot: Snapshot) -> bool:
+        installed = super()._install_snapshot(snapshot)
+        if installed and self.durable is not None:
+            # The folded prefix has no batch records of its own: persist
+            # the jump so a restart cannot strand a later-adopted
+            # estimate behind batches this replica never held.
+            self._durable_checkpoint()
+        return installed
 
-    def _install_snapshot(self, snapshot: Snapshot) -> None:
-        """Jump the replica to a snapshot taken ahead of its log.
-
-        Our own operations folded into the snapshot resolve with their
+    def _on_snapshot_installed(self, snapshot: Snapshot) -> None:
+        """Our own operations folded into the snapshot resolve with their
         recorded response when the snapshot carries it (each submitter's
         most recent operation), or with the COMPACTED sentinel otherwise:
-        they committed, but their responses were compacted away.
-        """
-        if snapshot.upto <= self.applied_upto:
-            return
-        self.state = snapshot.state
-        self.applied_upto = snapshot.upto
-        self.pruned_upto = max(self.pruned_upto, snapshot.upto)
-        exact: dict[tuple[int, int], Any] = {}
-        for pid, seq, response in snapshot.last_applied:
-            prev = self.last_applied.get(pid)
-            if prev is None or seq > prev[0]:
-                self.last_applied[pid] = (seq, response)
-            exact[(pid, seq)] = response
+        they committed, but their responses were compacted away."""
+        exact = {
+            (pid, seq): response
+            for pid, seq, response in snapshot.last_applied
+        }
         my_last = self.last_applied.get(self.pid)
         for op_id, future in self.op_futures.items():
             if future.done or op_id[0] != self.pid:
@@ -1242,64 +1102,6 @@ class ChtReplica(LocalReadMixin, Process):
                 my_last is not None and op_id[1] <= my_last[0]
             ):
                 future.resolve(COMPACTED)
-        self._apply_ready()
-        if self.durable is not None:
-            # The folded prefix has no batch records of its own: persist
-            # the jump so a restart cannot strand a later-adopted
-            # estimate behind batches this replica never held.
-            self._durable_checkpoint()
-
-    # ------------------------------------------------------------------
-    # Catch-up (fetch committed batches we missed)
-    # ------------------------------------------------------------------
-    def _ensure_catchup(self, target: int) -> None:
-        if target <= self._catchup_target and self._fetching:
-            return
-        self._catchup_target = max(self._catchup_target, target)
-        if not self._fetching:
-            self.spawn(self._fetch_task(), name="catchup")
-
-    def _fetch_task(self) -> Generator:
-        self._fetching = True
-        try:
-            while True:
-                missing = [
-                    j for j in range(self.applied_upto + 1,
-                                     self._catchup_target + 1)
-                    if j not in self.batches
-                ]
-                if not missing:
-                    return
-                self.broadcast(BatchRequest(frozenset(missing)))
-                yield from self._wait(
-                    lambda: all(j in self.batches for j in missing),
-                    timeout=self.config.retry_period,
-                )
-        finally:
-            self._fetching = False
-
-    # ==================================================================
-    # Utilities
-    # ==================================================================
-    def _wait(self, predicate, timeout: Optional[float] = None) -> Generator:
-        """Suspend until ``predicate()`` or (when given) a local-time
-        timeout elapses.  The timer guarantees re-evaluation at the
-        deadline even if no other event wakes this process."""
-        if timeout is None:
-            yield Until(predicate)
-            return
-        deadline = self.local_time + max(timeout, 0.0)
-        self.set_timer(max(timeout, 0.0), _noop)
-        yield Until(lambda: predicate() or self.local_time >= deadline)
-
-    def is_leader(self) -> bool:
-        """Is this process currently an initialized leader?"""
-        tenure = self.tenure
-        return (
-            tenure is not None
-            and tenure.ready
-            and self.leader_service.am_leader(tenure.t, self.local_time)
-        )
 
     def __repr__(self) -> str:
         role = "leader" if self.tenure is not None else "follower"

@@ -107,6 +107,31 @@ class TestSnapshotTransfer:
         assert cluster.execute(reader, put("k", 99),
                                timeout=20_000.0) is None
 
+    def test_snapshot_install_purges_covered_pending_batches(self):
+        # Isolate a follower one delta after a put: it has adopted the
+        # put's Prepare (a pending batch) but misses its Commit, then
+        # falls behind the pruning point and catches up by snapshot.
+        # The snapshot covers the pending batch, so it must not linger.
+        cluster = compacting_cluster()
+        leader = cluster.leader()
+        victim = cluster.replicas[
+            max(r.pid for r in cluster.replicas if r.pid != leader.pid)
+        ]
+        leader.submit_rmw(put("k", -1))
+        cluster.run(1.0 * cluster.config.delta)
+        cluster.net.isolate(victim.pid, start=cluster.sim.now)
+        for i in range(30):
+            cluster.execute(leader.pid, put("k", i), timeout=20_000.0)
+        cluster.net.heal_all()
+        cluster.run_until(
+            lambda: victim.applied_upto >= leader.applied_upto,
+            timeout=20_000.0,
+        )
+        assert victim.pruned_upto > 0, "expected a snapshot catch-up"
+        assert all(j > victim.applied_upto for j in victim.pending_batches), (
+            sorted(victim.pending_batches)
+        )
+
     def test_history_linearizable_with_compaction(self):
         cluster = compacting_cluster()
         ops = []

@@ -1,16 +1,20 @@
 """Pin the crash-time state classification against the real attribute set.
 
-Every instance attribute a :class:`ChtReplica` carries beyond the
-Process base must be classified as stable, volatile, or infrastructure.
-The classification drives ``on_crash`` — an unclassified field would
-silently survive crashes it must not (or vice versa) — so this test
-fails the moment someone adds a field without deciding its fate.
+Every instance attribute a :class:`ChtReplica` or a :class:`Leaseholder`
+carries beyond the Process base must be classified as stable, volatile,
+or infrastructure.  The classification drives ``on_crash`` — an
+unclassified field would silently survive crashes it must not (or vice
+versa) — so this test fails the moment someone adds a field without
+deciding its fate.
 """
 
 import math
 
+import pytest
+
 from repro.core.client import ChtCluster
 from repro.core.config import ChtConfig
+from repro.core.leaseholder import Leaseholder
 from repro.core.replica import ChtReplica
 from repro.objects.kvstore import KVStoreSpec, put
 from repro.sim.clocks import ClockModel
@@ -26,9 +30,10 @@ def base_attr_names():
     return set(vars(Process(0, sim, net, clocks)))
 
 
-def run_workload(durability=False):
+def run_workload(durability=False, num_leaseholders=0):
     cluster = ChtCluster(KVStoreSpec(), ChtConfig(n=3), seed=6,
-                         durability=durability)
+                         durability=durability,
+                         num_leaseholders=num_leaseholders)
     cluster.start()
     leader = cluster.run_until_leader()
     for i in range(3):
@@ -37,33 +42,44 @@ def run_workload(durability=False):
     return cluster, leader
 
 
+ROLES = pytest.mark.parametrize(
+    "role", [ChtReplica, Leaseholder], ids=lambda cls: cls.__name__
+)
+
+
 class TestClassification:
-    def test_every_replica_attribute_is_classified(self):
-        cluster, leader = run_workload()
+    @ROLES
+    def test_every_replica_attribute_is_classified(self, role):
+        cluster, leader = run_workload(num_leaseholders=2)
         base = base_attr_names()
         classified = (
-            set(ChtReplica.STABLE_ATTRS)
-            | set(ChtReplica._VOLATILE_FACTORIES)
-            | set(ChtReplica.INFRA_ATTRS)
+            set(role.STABLE_ATTRS)
+            | set(role._VOLATILE_FACTORIES)
+            | set(role.INFRA_ATTRS)
         )
-        for replica in cluster.replicas:
-            extra = set(vars(replica)) - base
+        processes = [p for p in cluster.replicas + cluster.leaseholders
+                     if type(p) is role]
+        assert processes
+        for process in processes:
+            extra = set(vars(process)) - base
             unclassified = extra - classified
             assert not unclassified, (
-                f"unclassified replica attributes {sorted(unclassified)}: "
-                "add them to STABLE_ATTRS, _VOLATILE_FACTORIES, or "
-                "INFRA_ATTRS in ChtReplica (and to on_crash if volatile)"
+                f"unclassified attributes {sorted(unclassified)}: add "
+                "them to STABLE_ATTRS, _VOLATILE_FACTORIES, or "
+                f"INFRA_ATTRS in {role.__name__} (or in Learner when "
+                "every role has them)"
             )
             stale = classified - extra
             assert not stale, (
                 f"classified attributes {sorted(stale)} no longer exist "
-                "on ChtReplica"
+                f"on {role.__name__}"
             )
 
-    def test_classes_are_disjoint(self):
-        stable = set(ChtReplica.STABLE_ATTRS)
-        volatile = set(ChtReplica._VOLATILE_FACTORIES)
-        infra = set(ChtReplica.INFRA_ATTRS)
+    @ROLES
+    def test_classes_are_disjoint(self, role):
+        stable = set(role.STABLE_ATTRS)
+        volatile = set(role._VOLATILE_FACTORIES)
+        infra = set(role.INFRA_ATTRS)
         assert not stable & volatile
         assert not stable & infra
         assert not volatile & infra

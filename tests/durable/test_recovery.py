@@ -10,10 +10,14 @@ import pytest
 
 from repro.core.client import ChtCluster
 from repro.core.config import ChtConfig
-from repro.durable import attach_memory_durability, durable_audit
+from repro.durable import (ReplicaDurability, attach_memory_durability,
+                           durable_audit)
+from repro.durable.disk import FileStorage
+from repro.durable.wal import BatchRec, EstimateRec, PromiseRec
 from repro.objects.counter import CounterSpec, increment, value
-from repro.objects.kvstore import KVStoreSpec, get
+from repro.objects.kvstore import KVStoreSpec, get, put
 from repro.objects.kvstore import increment as kv_increment
+from repro.objects.spec import OpInstance
 from repro.shard import ShardedCluster
 from repro.verify.invariants import InvariantViolation, check_i2_i3
 
@@ -90,6 +94,29 @@ class TestRestartRebuild:
                                timeout=20_000.0) == 2
         check_i2_i3(cluster.replicas)
         durable_audit(cluster.replicas)
+
+    def test_boot_over_persistent_storage_reseeds_pending_estimate(
+            self, tmp_path):
+        # A durable estimate may have been acked before the process died;
+        # the ack can have released the leader's lease wait, so a replica
+        # booting over that storage (the TCP server path: attach, then
+        # _recover_from_storage, then start — no on_recover) must treat
+        # the uncommitted estimate as pending or a lease for k = j-1
+        # could read around batch j.
+        root = str(tmp_path / "r0")
+        est_ops = frozenset({OpInstance((9, 1), put("a", 1))})
+        store = FileStorage(root)
+        store.append(BatchRec(1, frozenset()))
+        store.append(PromiseRec(5.0))
+        store.append(EstimateRec(est_ops, 5.0, 2))
+        store.sync(lambda: None)
+
+        cluster = ChtCluster(KVStoreSpec(), ChtConfig(n=3), seed=0)
+        replica = cluster.replicas[0]
+        replica.attach_durability(ReplicaDurability(FileStorage(root)))
+        replica._recover_from_storage()
+        assert replica.estimate.k == 2
+        assert replica.pending_batches == {2: est_ops}
 
 
 class TestReplyCacheRecovery:

@@ -9,6 +9,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import repro
@@ -100,3 +101,17 @@ def test_one_module_owns_the_process_pool():
             if any(n.split(".")[0] == "multiprocessing" for n in names):
                 importers.add(module.__name__)
     assert importers == {"repro.analysis.parallel"}
+
+
+def test_one_learner_owns_the_shared_role_code():
+    # Replicas and leaseholders share one store/apply/snapshot/catch-up/
+    # read path (repro.core.learner): each of these is defined once.
+    core = Path(repro.__file__).resolve().parent / "core"
+    source = "\n".join(p.read_text() for p in sorted(core.glob("*.py")))
+    shared = ["_on_commit", "_on_batch_request", "_on_batch_reply",
+              "_ensure_catchup", "_fetch_task", "_make_snapshot",
+              "_compute_k_hat", "_wait", "_noop"]
+    counts = {name: len(re.findall(rf"\bdef {name}\(", source))
+              for name in shared}
+    assert counts == {name: 1 for name in shared}, counts
+    assert "LocalReadMixin" not in source and "readpath" not in source
