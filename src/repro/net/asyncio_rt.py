@@ -10,13 +10,22 @@ interface over:
   the frozen dataclasses of :mod:`repro.core.messages` — plain data,
   picklable by construction.  Frames above :data:`MAX_FRAME` are
   rejected (a corrupt length prefix must not allocate gigabytes).
-* **Per-peer outbound queues with backpressure.**  Each peer has one
-  `_PeerLink` owning a bounded deque and a writer task; the writer
-  awaits ``drain()`` after each frame, so TCP backpressure slows the
-  queue's consumer, and when the queue overflows the *oldest* frames
-  are dropped (counted in ``counters``).  Dropping is safe: every
-  protocol loop retransmits (the paper's model already allows loss
-  before GST).
+  Each connection's protocol cuts frames out of the bytes as they
+  arrive and delivers them inline, with no reader task to wake.
+* **Direct writes, bounded queues behind them.**  Each peer has one
+  `_PeerLink`.  While it is connected, its queue is empty and the
+  socket's write buffer is below :data:`HIGH_WATER`, a frame goes
+  straight to ``StreamWriter.write`` on the sending call — no task
+  wake-up, no ``drain()``.  Otherwise the frame joins a bounded
+  deque that the link's writer task flushes, awaiting ``drain()`` only
+  when the buffer reaches :data:`HIGH_WATER`, so TCP backpressure
+  slows the queue's consumer; when the queue overflows the *oldest*
+  frames are dropped (counted in ``counters``).  A frame bypasses the
+  queue only when the queue is empty, so per-pair FIFO holds across
+  both paths.  Reverse channels (replies to dial-in clients) follow
+  the same rule without a queue: above :data:`HIGH_WATER` the frame is
+  dropped and counted.  Dropping is safe: every protocol loop
+  retransmits (the paper's model already allows loss before GST).
 * **Reconnect with exponential backoff.**  A link that fails redials
   with delay doubling from ``reconnect_min`` to ``reconnect_max``
   (jittered by the runtime's own RNG stream), forever — peers may
@@ -41,7 +50,8 @@ Threading contract: everything protocol-facing runs on the event-loop
 thread — ``deliver``, timer callbacks, sends.  The runtime can own a
 background thread (:meth:`start_background`) for synchronous callers
 (the client API, tests); they hop onto the loop via :meth:`call` /
-:meth:`build`.
+:meth:`build`.  :meth:`close` wakes that thread, which shuts the
+runtime down and closes its loop.
 """
 
 from __future__ import annotations
@@ -57,13 +67,18 @@ from typing import Any, Callable, Dict, Optional
 
 from .runtime import IDENTITY_CLOCK, Runtime, label_rng
 
-__all__ = ["AsyncioRuntime", "Ping", "MAX_FRAME"]
+__all__ = ["AsyncioRuntime", "Ping", "MAX_FRAME", "HIGH_WATER"]
 
 _LEN = struct.Struct(">I")
 
 #: Upper bound on one frame's payload (16 MiB).  A corrupt or hostile
 #: length prefix must not make the reader allocate unbounded memory.
 MAX_FRAME = 16 * 1024 * 1024
+
+#: Socket write-buffer level (bytes) at which a link stops writing
+#: frames directly and queues them, its writer task awaits ``drain()``,
+#: and a reverse channel drops frames.
+HIGH_WATER = 64 * 1024
 
 
 class Ping:
@@ -94,8 +109,72 @@ class _WallTimer:
             self._handle.cancel()
 
 
+class _FrameProtocol(asyncio.StreamReaderProtocol):
+    """Receive side of one TCP connection.
+
+    Frames are cut out of each ``data_received`` chunk and delivered
+    inline, so a frame costs no reader-task wake-up.  Sends go through
+    :attr:`writer`, a ``StreamWriter`` over this protocol, whose flow
+    control backs ``drain()``.  ``inbound`` marks connections a peer
+    dialed to us; their writer becomes that peer's reverse channel.
+    """
+
+    def __init__(self, rt: "AsyncioRuntime", inbound: bool) -> None:
+        super().__init__(None, loop=rt.loop)
+        self.rt = rt
+        self.inbound = inbound
+        self.writer: Optional[asyncio.StreamWriter] = None
+        # Bytes of an incomplete frame: chunks so far, their total, and
+        # the total the frame (or its length prefix) needs.
+        self._chunks: list = []
+        self._have = 0
+        self._need = _LEN.size
+
+    def connection_made(self, transport: Any) -> None:
+        super().connection_made(transport)
+        self.writer = asyncio.StreamWriter(transport, self, None,
+                                           self.rt.loop)
+        self.rt._transports.add(transport)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.rt._transports.discard(self.writer.transport)
+        super().connection_lost(exc)
+
+    def eof_received(self) -> bool:
+        return False  # the peer is done: close our side too
+
+    def data_received(self, data: bytes) -> None:
+        if self._chunks:
+            self._chunks.append(data)
+            self._have += len(data)
+            if self._have < self._need:
+                return
+            data = b"".join(self._chunks)
+            self._chunks = []
+        size = len(data)
+        start = 0
+        while size - start >= _LEN.size:
+            (length,) = _LEN.unpack_from(data, start)
+            if length > MAX_FRAME:
+                self.rt.counters["net.bad_frame"] += 1
+                self.writer.transport.close()
+                return
+            end = start + _LEN.size + length
+            if end > size:
+                self._need = _LEN.size + length
+                break
+            self.rt._on_frame(self, data[start + _LEN.size:end])
+            start = end
+        else:
+            self._need = _LEN.size
+        if start < size:
+            self._chunks = [data[start:]]
+            self._have = size - start
+
+
 class _PeerLink:
-    """One outbound connection: bounded queue, writer task, redial loop."""
+    """One outbound connection: direct writes, bounded queue, writer
+    task, redial loop."""
 
     def __init__(self, rt: "AsyncioRuntime", pid: int, host: str,
                  port: int) -> None:
@@ -106,13 +185,21 @@ class _PeerLink:
         self.queue: deque = deque()
         self.wakeup = asyncio.Event()
         self.task: Optional[asyncio.Task] = None
-        self.connected = False
+        # The connected writer, or None while dialing.
+        self.writer: Optional[asyncio.StreamWriter] = None
 
     def start(self) -> None:
         if self.task is None:
             self.task = self.rt.loop.create_task(self._run())
 
     def enqueue(self, frame: bytes) -> None:
+        writer = self.writer
+        if writer is not None and not self.queue:
+            transport = writer.transport
+            if (not transport.is_closing()
+                    and transport.get_write_buffer_size() < HIGH_WATER):
+                writer.write(frame)
+                return
         if len(self.queue) >= self.rt.queue_limit:
             self.queue.popleft()
             self.rt.counters["net.dropped_overflow"] += 1
@@ -123,7 +210,8 @@ class _PeerLink:
         backoff = self.rt.reconnect_min
         while not self.rt.closing:
             try:
-                reader, writer = await asyncio.open_connection(
+                _, proto = await self.rt.loop.create_connection(
+                    lambda: _FrameProtocol(self.rt, inbound=False),
                     self.host, self.port)
             except OSError:
                 self.rt.counters["net.dial_failed"] += 1
@@ -132,35 +220,39 @@ class _PeerLink:
                 backoff = min(backoff * 2, self.rt.reconnect_max)
                 continue
             backoff = self.rt.reconnect_min
-            self.connected = True
+            # The peer replies (and pings) over this same socket; the
+            # protocol reads it.
+            writer = self.writer = proto.writer
             self.rt.counters["net.connected"] += 1
-            # The peer replies (and pings) over this same socket, so the
-            # dialing side must read it too.
-            reader_task = self.rt.loop.create_task(
-                self.rt._read_frames(reader, inbound=False))
             try:
                 await self._write_loop(writer)
             except (OSError, ConnectionError):
                 self.rt.counters["net.conn_lost"] += 1
             finally:
-                self.connected = False
-                reader_task.cancel()
+                self.writer = None
                 writer.close()
 
     async def _write_loop(self, writer: asyncio.StreamWriter) -> None:
+        transport = writer.transport
         ping_every = self.rt.ping_period
         while not self.rt.closing:
             while self.queue:
+                if transport.is_closing():
+                    raise ConnectionResetError("link closed")
                 writer.write(self.queue.popleft())
-                # drain() after each frame: genuine TCP backpressure —
-                # a slow peer slows this writer, not the event loop.
-                await writer.drain()
+                if transport.get_write_buffer_size() >= HIGH_WATER:
+                    # Genuine TCP backpressure: a slow peer slows this
+                    # writer (and sends new frames to the queue), not
+                    # the event loop.
+                    await writer.drain()
             self.wakeup.clear()
             if self.queue:
                 continue
             try:
                 await asyncio.wait_for(self.wakeup.wait(), timeout=ping_every)
             except asyncio.TimeoutError:
+                # The ping's drain() is also how an idle link notices
+                # that its connection is gone.
                 writer.write(self.rt._ping_frame)
                 await writer.drain()
 
@@ -217,6 +309,7 @@ class AsyncioRuntime(Runtime):
         # Reverse channels: writer per peer that dialed *us* (clients,
         # and any listed peer whose inbound socket arrived first).
         self._inbound: Dict[int, asyncio.StreamWriter] = {}
+        self._transports: set = set()  # every open connection
         self._last_seen: Dict[int, float] = {}
         self._ping_frame = self._encode(pid, -1, _PING)
         self._fork_counts: Dict[str, int] = {}
@@ -224,6 +317,7 @@ class AsyncioRuntime(Runtime):
         self._server: Optional[asyncio.base_events.Server] = None
         self._thread: Optional[threading.Thread] = None
         self._loop_ready = threading.Event()
+        self._wake: Optional[asyncio.Event] = None  # set by close()
         self.loop = loop  # set in start()/start_background() if None
 
     # ------------------------------------------------------------------
@@ -321,8 +415,8 @@ class AsyncioRuntime(Runtime):
             self.loop = asyncio.get_running_loop()
         if self.listen is not None:
             host, port = self.listen
-            self._server = await asyncio.start_server(
-                self._accept, host, port)
+            self._server = await self.loop.create_server(
+                lambda: _FrameProtocol(self, inbound=True), host, port)
         for pid, (host, port) in self.peers.items():
             if pid == self.pid:
                 continue
@@ -338,7 +432,11 @@ class AsyncioRuntime(Runtime):
 
         def run() -> None:
             asyncio.set_event_loop(self.loop)
-            self.loop.run_until_complete(self._background_main())
+            try:
+                self.loop.run_until_complete(self._background_main())
+            finally:
+                asyncio.set_event_loop(None)
+                self.loop.close()
 
         self._thread = threading.Thread(
             target=run, name=f"asyncio-rt-{self.pid}", daemon=True)
@@ -346,23 +444,33 @@ class AsyncioRuntime(Runtime):
         self._loop_ready.wait()
 
     async def _background_main(self) -> None:
-        await self.start()
-        self._loop_ready.set()
-        while not self.closing:
-            await asyncio.sleep(0.05)
+        self._wake = asyncio.Event()
+        try:
+            await self.start()
+        finally:
+            self._loop_ready.set()
+        await self._wake.wait()
         await self.shutdown()
 
     async def shutdown(self) -> None:
-        """Stop the listener and cancel link/reader tasks."""
+        """Stop the listener, cancel link tasks, drop connections."""
         self.closing = True
         if self._server is not None:
             self._server.close()
+            # An accept hand-shake task that has not started yet holds a
+            # bare socket that cancelling it would leak; let it start.
+            await asyncio.sleep(0)
         current = asyncio.current_task()
         pending = [t for t in asyncio.all_tasks(self.loop) if t is not current]
         for task in pending:
             task.cancel()
         if pending:
             await asyncio.gather(*pending, return_exceptions=True)
+        # Unsent bytes are lost either way; abort() does not wait for
+        # a peer that stopped reading.  One loop pass closes the sockets.
+        for transport in list(self._transports):
+            transport.abort()
+        await asyncio.sleep(0)
 
     def call(self, fn: Callable[[], Any], timeout: float = 30.0) -> Any:
         """Run ``fn()`` on the loop thread and return its result."""
@@ -389,11 +497,15 @@ class AsyncioRuntime(Runtime):
         return self.call(factory)
 
     def close(self) -> None:
+        """Stop the runtime; with a background thread, wake it so it
+        shuts down and closes its loop, and wait for it."""
         self.closing = True
         if self._thread is not None:
+            try:
+                self.loop.call_soon_threadsafe(self._wake.set)
+            except RuntimeError:  # the loop is already closed
+                pass
             self._thread.join(timeout=2.0)
-            if not self.loop.is_closed():
-                self.loop.call_soon_threadsafe(lambda: None)
 
     # ------------------------------------------------------------------
     # Framing
@@ -403,45 +515,34 @@ class AsyncioRuntime(Runtime):
                                protocol=pickle.HIGHEST_PROTOCOL)
         return _LEN.pack(len(payload)) + payload
 
-    async def _accept(self, reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter) -> None:
-        await self._read_frames(reader, inbound=True, writer=writer)
-        writer.close()
-
-    async def _read_frames(self, reader: asyncio.StreamReader,
-                           inbound: bool,
-                           writer: Optional[asyncio.StreamWriter] = None
-                           ) -> None:
-        try:
-            while not self.closing:
-                header = await reader.readexactly(_LEN.size)
-                (length,) = _LEN.unpack(header)
-                if length > MAX_FRAME:
-                    self.counters["net.bad_frame"] += 1
-                    return
-                payload = await reader.readexactly(length)
-                try:
-                    src, dst, msg = pickle.loads(payload)
-                except Exception:
-                    self.counters["net.bad_frame"] += 1
-                    continue
-                self._last_seen[src] = time.monotonic()
-                if inbound and writer is not None:
-                    # Remember the reverse channel; replies to a
-                    # dialing-only peer (a client) go back this way.
-                    self._inbound[src] = writer
-                if isinstance(msg, Ping):
-                    continue
-                self._deliver_local(src, dst, msg)
-        except (asyncio.IncompleteReadError, ConnectionError, OSError,
-                asyncio.CancelledError):
+    def _on_frame(self, proto: _FrameProtocol, payload: bytes) -> None:
+        if self.closing:
             return
+        try:
+            src, dst, msg = pickle.loads(payload)
+        except Exception:
+            self.counters["net.bad_frame"] += 1
+            return
+        self._last_seen[src] = time.monotonic()
+        if proto.inbound:
+            # Remember the reverse channel; replies to a dialing-only
+            # peer (a client) go back this way.
+            self._inbound[src] = proto.writer
+        if msg.__class__ is Ping:
+            return
+        self._deliver_local(src, dst, msg)
 
     def _write_inbound(self, dst: int, writer: asyncio.StreamWriter,
                        frame: bytes) -> None:
-        if writer.is_closing():
+        transport = writer.transport
+        if transport.is_closing():
             self._inbound.pop(dst, None)
             self.counters["net.dropped_unroutable"] += 1
+            return
+        if transport.get_write_buffer_size() >= HIGH_WATER:
+            # A peer that stops reading must not grow this process's
+            # buffer without bound; its session retransmits.
+            self.counters["net.dropped_overflow"] += 1
             return
         try:
             writer.write(frame)

@@ -21,6 +21,12 @@ underneath (the operation may still commit; its sequence number stays
 burned either way, so exactly-once is never at risk), but the caller
 gets a prompt error instead of hanging on a dead cluster, mirroring
 the bounded redirect budget of :class:`repro.shard.router.Router`.
+
+A call costs one thread hand-off: the caller schedules the submit on
+the loop thread and waits for the reply's callback, nothing else.
+``NetKV.stats`` holds only in-flight operations — a record is dropped
+once its op responds — so a long-lived client's memory does not grow
+with the number of ops it has completed.
 """
 
 from __future__ import annotations
@@ -42,8 +48,22 @@ class OpTimeout(TimeoutError):
     """An operation did not complete within the caller's deadline."""
 
 
+class _InFlightStats(RunStats):
+    """RunStats that forgets an operation once it has responded."""
+
+    def respond(self, op_id: tuple, response: Any, now: float) -> Any:
+        record = super().respond(op_id, response, now)
+        del self._by_id[op_id]
+        self.records.remove(record)
+        return record
+
+
 class NetKV:
-    """Synchronous KV API over a real cluster.  See module docstring."""
+    """Synchronous KV API over a real cluster.
+
+    Each call hands off to the loop thread once and blocks on the op's
+    reply; ``stats`` keeps only in-flight ops.  See module docstring.
+    """
 
     def __init__(
         self,
@@ -64,7 +84,7 @@ class NetKV:
                 pid = CLIENT_PID_BASE + int.from_bytes(
                     os.urandom(4), "big") % (1 << 30)
         self.pid = pid
-        self.stats = RunStats()
+        self.stats = _InFlightStats()
         self._lock = threading.Lock()
         self.runtime = AsyncioRuntime(
             pid,
@@ -111,24 +131,33 @@ class NetKV:
             return self._execute_locked(op, timeout)
 
     def _execute_locked(self, op: Any, timeout: float) -> Any:
-        done = threading.Event()
-        box: list = [None]
+        # A held lock is the cheapest one-shot event: the loop thread
+        # releases it once, the caller's acquire returns.
+        done = threading.Lock()
+        done.acquire()
+        box: list = [None, None]  # [response, exception from submit]
+
+        def resolved(value: Any) -> None:
+            box[0] = value
+            done.release()
 
         def arm() -> None:
-            future = self.session.submit(op)
-
-            def resolved(value: Any) -> None:
-                box[0] = value
-                done.set()
-
+            try:
+                future = self.session.submit(op)
+            except Exception as exc:  # re-raised on the caller
+                box[1] = exc
+                done.release()
+                return
             future.on_resolve(resolved)
 
-        self.runtime.call(arm)
-        if not done.wait(timeout):
+        self.runtime.loop.call_soon_threadsafe(arm)
+        if not done.acquire(timeout=timeout):
             raise OpTimeout(
                 f"operation {op!r} not acknowledged within {timeout}s "
                 f"(session {self.pid} keeps retrying underneath)"
             )
+        if box[1] is not None:
+            raise box[1]
         return box[0]
 
     # ------------------------------------------------------------------

@@ -15,13 +15,15 @@ The battery is what keeps the backends from drifting: a new runtime
 earns its place by passing this file unchanged.
 """
 
+import socket
 import threading
 import time
 from dataclasses import dataclass
 
 import pytest
 
-from repro.net.asyncio_rt import AsyncioRuntime
+from repro.net import asyncio_rt
+from repro.net.asyncio_rt import AsyncioRuntime, Ping
 from repro.net.launch import free_ports
 from repro.net.runtime import SimRuntime
 from repro.sim.clocks import ClockModel
@@ -317,3 +319,167 @@ def test_pair_recovers_after_disconnect(harness):
             ok = True
             break
     assert ok, "pair never recovered after disconnect"
+
+
+# ----------------------------------------------------------------------
+# The asyncio write path: direct writes, the queue behind them, and the
+# reverse channel's bound
+# ----------------------------------------------------------------------
+BURST = 400
+BODY = "x" * 4096
+
+
+def _paused_pair(monkeypatch):
+    """An asyncio harness whose pid 1 has stopped reading pid 0's link,
+    with ``HIGH_WATER`` at one byte: once the kernel's socket buffers
+    fill, every further frame from 0 to 1 must take the queue.  The
+    link's send buffer is pinned small so that happens within a burst
+    (Linux otherwise grows it to megabytes)."""
+    monkeypatch.setattr(asyncio_rt, "HIGH_WATER", 1)
+    h = AsyncioHarness()
+    h.call(0, lambda: h.procs[0].send(1, Note(-1)))
+    assert h.run_until(lambda: len(h.procs[1].received) == 1)
+    sock = h.runtimes[0]._links[1].writer.transport.get_extra_info("socket")
+    h.call(0, lambda: sock.setsockopt(
+        socket.SOL_SOCKET, socket.SO_SNDBUF, 16384))
+    receiver = h.runtimes[1]
+    h.call(1, lambda: receiver._inbound[0].transport.pause_reading())
+    return h
+
+
+def _burst(h, first=0):
+    """Send ``BURST`` frames 0 -> 1, numbered from ``first``, in one loop
+    callback; return how many went straight to the socket, sat in the
+    queue, were dropped."""
+    sender = h.runtimes[0]
+    link = sender._links[1]
+    dropped0 = sender.counters["net.dropped_overflow"]
+
+    def go():
+        queued0 = len(link.queue)
+        for i in range(first, first + BURST):
+            h.procs[0].send(1, Note(i, BODY))
+        dropped = sender.counters["net.dropped_overflow"] - dropped0
+        queued = len(link.queue) - queued0
+        return BURST - queued - dropped, queued, dropped
+
+    return h.call(0, go)
+
+
+def _resume_and_collect(h, expected):
+    receiver = h.runtimes[1]
+    h.call(1, lambda: receiver._inbound[0].transport.resume_reading())
+    assert h.run_until(
+        lambda: len(h.procs[1].received) == 1 + expected, timeout=15.0)
+    return [m.seq for _, m in h.procs[1].received[1:]]
+
+
+def test_direct_writes_give_way_to_the_queue_in_send_order(monkeypatch):
+    h = _paused_pair(monkeypatch)
+    try:
+        direct, queued, dropped = _burst(h)
+        # The burst switched paths partway through, and lost nothing.
+        assert direct > 0 and queued > 0 and dropped == 0
+        # Once the writer task has flushed into the socket buffer up to
+        # asyncio's own limit, it blocks in drain() with frames still
+        # queued.  New frames must queue behind them even with room
+        # below HIGH_WATER, not overtake them.
+        transport = h.runtimes[0]._links[1].writer.transport
+        assert h.run_until(
+            lambda: h.call(0, transport.get_write_buffer_size) > 64 * 1024)
+        monkeypatch.setattr(asyncio_rt, "HIGH_WATER", 1 << 30)
+        direct, queued, dropped = _burst(h, first=BURST)
+        assert direct == 0 and dropped == 0
+        assert _resume_and_collect(h, 2 * BURST) == list(range(2 * BURST))
+    finally:
+        h.close()
+
+
+def test_queue_overflow_drops_the_oldest_frames_and_counts_them(monkeypatch):
+    h = _paused_pair(monkeypatch)
+    try:
+        limit = 50
+        monkeypatch.setattr(h.runtimes[0], "queue_limit", limit)
+        direct, queued, dropped = _burst(h)
+        assert queued == limit and dropped == BURST - direct - limit > 0
+        # Everything written directly arrives, then the newest ``limit``:
+        # the frames dropped were the oldest in the queue.
+        assert _resume_and_collect(h, direct + limit) == (
+            list(range(direct)) + list(range(BURST - limit, BURST)))
+    finally:
+        h.close()
+
+
+def test_reverse_channel_is_bounded_for_a_client_that_never_reads():
+    port = free_ports(1)[0]
+    rt = AsyncioRuntime(0, peers={}, listen=("127.0.0.1", port),
+                        epoch=time.time(), seed=42)
+    rt.start_background()
+    server = rt.build(lambda: Recorder(0, rt))
+    client_pid = 1000
+    sock = socket.socket()
+    try:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.connect(("127.0.0.1", port))
+        # One frame registers the reverse channel; then never read.
+        sock.sendall(rt._encode(client_pid, 0, Ping()))
+        deadline = time.monotonic() + 5.0
+        while client_pid not in rt._inbound and time.monotonic() < deadline:
+            time.sleep(0.01)
+        frame_size = len(rt._encode(0, client_pid, Note(0, BODY)))
+
+        def flood():
+            transport = rt._inbound[client_pid].transport
+            # Pinned small, as in _paused_pair, so the kernel fills up.
+            transport.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET, socket.SO_SNDBUF, 16384)
+            for i in range(BURST):
+                server.send(client_pid, Note(i, BODY))
+            return transport.get_write_buffer_size()
+
+        buffered = rt.call(flood)
+        assert rt.counters["net.dropped_overflow"] > 0
+        assert buffered < asyncio_rt.HIGH_WATER + frame_size
+    finally:
+        sock.close()
+        rt.close()
+
+
+def test_frames_are_reassembled_and_bad_frames_are_counted():
+    port = free_ports(1)[0]
+    rt = AsyncioRuntime(0, peers={}, listen=("127.0.0.1", port), seed=42)
+    rt.start_background()
+    server = rt.build(lambda: Recorder(0, rt))
+    sock = socket.create_connection(("127.0.0.1", port))
+    try:
+        # A frame dribbled in byte by byte, then two in one segment.
+        for byte in rt._encode(1000, 0, Note(1)):
+            sock.sendall(bytes([byte]))
+            time.sleep(0.0005)
+        sock.sendall(rt._encode(1000, 0, Note(2)) + rt._encode(1000, 0, Note(3)))
+        # An unpicklable payload is counted and skipped.
+        sock.sendall(b"\x00\x00\x00\x03bad" + rt._encode(1000, 0, Note(4)))
+        deadline = time.monotonic() + 5.0
+        while len(server.received) < 4 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert [m.seq for _, m in server.received] == [1, 2, 3, 4]
+        assert rt.counters["net.bad_frame"] == 1
+        # An oversized length prefix is counted and ends the connection.
+        sock.sendall((asyncio_rt.MAX_FRAME + 1).to_bytes(4, "big"))
+        sock.settimeout(5.0)
+        assert sock.recv(1) == b""
+        assert rt.counters["net.bad_frame"] == 2
+    finally:
+        sock.close()
+        rt.close()
+
+
+def test_close_stops_the_background_thread_and_closes_its_loop():
+    rt = AsyncioRuntime(0, peers={}, listen=("127.0.0.1", free_ports(1)[0]),
+                        seed=42)
+    rt.start_background()
+    t0 = time.monotonic()
+    rt.close()
+    assert rt.loop.is_closed()
+    assert not rt._thread.is_alive()
+    assert time.monotonic() - t0 < 1.0  # woken, not found by polling

@@ -8,6 +8,10 @@ the leaseholder tier, exactly-once across a SIGKILL'd replica, and
 durable recovery when every member is killed and restarted.
 """
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.net.client import NetKV, OpTimeout
@@ -79,3 +83,58 @@ def test_client_times_out_against_a_dead_cluster():
             # instead of spinning forever.
             with pytest.raises(OpTimeout):
                 kv.put("seed", 2, timeout=2.0)
+
+
+def test_submit_error_reaches_the_caller_at_once(monkeypatch):
+    # No cluster needed: the error is raised before anything is sent.
+    spec = local_spec(n=3, num_leaseholders=0, seed=105)
+    with NetKV(spec, client_seed=6) as kv:
+        def refuse(op):
+            raise RuntimeError("submit refused")
+
+        monkeypatch.setattr(kv.session, "submit", refuse)
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError, match="submit refused"):
+            kv.put("a", 1, timeout=30)
+        assert time.monotonic() - t0 < 5.0  # not the 30 s timeout
+
+
+def test_client_keeps_only_in_flight_ops():
+    spec = local_spec(n=3, num_leaseholders=1, seed=106)
+    with ClusterLauncher(spec):
+        with NetKV(spec, client_seed=7) as kv:
+            kv.put("k", "v", timeout=20)
+            for _ in range(500):
+                assert kv.get("k", timeout=20) == "v"
+            # Read on the loop thread, after the reply's handling is done.
+            assert kv.runtime.call(lambda: kv.stats.records) == []
+            assert kv.runtime.call(lambda: kv.session._futures) == {}
+
+
+def test_threads_sharing_a_handle_lose_no_increment():
+    # More callers than cores, switching often: every call's hand-off
+    # must pair its own reply with its own caller.
+    spec = local_spec(n=3, num_leaseholders=1, seed=107)
+    threads, per_thread = 6, 25
+    replies = []
+    with ClusterLauncher(spec):
+        with NetKV(spec, client_seed=8) as kv:
+            def work():
+                for _ in range(per_thread):
+                    replies.append(kv.increment("c", 1, timeout=20))
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                workers = [threading.Thread(target=work)
+                           for _ in range(threads)]
+                for w in workers:
+                    w.start()
+                for w in workers:
+                    w.join(60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(w.is_alive() for w in workers)
+            total = threads * per_thread
+            assert sorted(replies) == list(range(1, total + 1))
+            assert kv.get("c", timeout=20) == total
