@@ -5,7 +5,7 @@ returning its rendered tables plus the boolean claim checks, and prints
 them when executed directly.  The pytest wrappers in
 ``test_experiments.py`` call ``run`` at reduced scale and assert the
 claim checks, so the whole suite is exercised by
-``pytest benchmarks/ --benchmark-only``.
+``pytest benchmarks/test_experiments.py``.
 """
 
 from __future__ import annotations

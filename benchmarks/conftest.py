@@ -7,6 +7,6 @@ import ``_common``) regardless of the rootdir pytest was launched from.
 import sys
 from pathlib import Path
 
-BENCH_DIR = Path(__file__).resolve().parent
-if str(BENCH_DIR) not in sys.path:
-    sys.path.insert(0, str(BENCH_DIR))
+EXPERIMENTS_DIR = Path(__file__).resolve().parent
+if str(EXPERIMENTS_DIR) not in sys.path:
+    sys.path.insert(0, str(EXPERIMENTS_DIR))

@@ -1,11 +1,10 @@
-"""Benchmark-suite entries that run every experiment at reduced scale.
+"""Run every experiment at reduced scale and assert its claims.
 
-Each test executes one experiment (E1-E14) through pytest-benchmark's
-``pedantic`` runner — a single timed round — and asserts every claim the
-experiment checks.  ``pytest benchmarks/ --benchmark-only`` therefore
-regenerates and verifies the complete claim table of EXPERIMENTS.md at
-smoke scale; run the ``exp_*.py`` scripts directly for the full-scale
-numbers.
+Each test calls one experiment's ``run`` once and asserts every claim
+the experiment checks.  ``pytest benchmarks/test_experiments.py``
+therefore regenerates and verifies the complete claim table of
+EXPERIMENTS.md at smoke scale; run the ``exp_*.py`` scripts directly for
+the full-scale numbers.
 """
 
 import importlib
@@ -41,14 +40,9 @@ EXPERIMENTS = [
     EXPERIMENTS,
     ids=[name for name, _, _ in EXPERIMENTS],
 )
-def test_experiment_claims(benchmark, module_name, scale, seeds):
+def test_experiment_claims(module_name, scale, seeds):
     module = importlib.import_module(module_name)
-    result = benchmark.pedantic(
-        module.run,
-        kwargs={"scale": scale, "seeds": seeds},
-        rounds=1,
-        iterations=1,
-    )
+    result = module.run(scale=scale, seeds=seeds)
     failed = [name for name, ok in result["claims"].items() if not ok]
     assert not failed, (
         f"{module_name}: failed claims: {failed}\n"

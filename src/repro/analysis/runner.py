@@ -8,7 +8,7 @@ loop over system names.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable
 
 from ..baselines.megastore import MegastoreCluster
 from ..baselines.multipaxos import PaxosCluster
@@ -21,8 +21,8 @@ from ..core.config import ChtConfig
 from ..objects.spec import ObjectSpec
 from .parallel import parallel_starmap, run_cells
 
-__all__ = ["SYSTEMS", "build_cluster", "warmup", "run_matrix",
-           "parallel_starmap", "run_cells"]
+__all__ = ["SYSTEMS", "build_cluster", "warmup", "parallel_starmap",
+           "run_cells"]
 
 
 def _build_cht(spec: ObjectSpec, n: int, delta: float, epsilon: float,
@@ -87,20 +87,3 @@ def warmup(cluster: Any, duration: float = 400.0) -> None:
     """
     cluster.run(duration)
     cluster.net.reset_counters()
-
-
-def run_matrix(
-    measure: Callable[..., Any],
-    systems: Sequence[str],
-    seeds: Sequence[int],
-    *extra: Any,
-    workers: Optional[int] = None,
-) -> dict[str, list[Any]]:
-    """Run ``measure(system, *extra, seed)`` over the full grid in parallel.
-
-    A thin alias for :func:`repro.analysis.parallel.run_cells`: every
-    (system, seed) cell is an independent simulation, so they fan out
-    over all cores while the merged result is identical to a serial
-    nested loop.
-    """
-    return run_cells(measure, systems, seeds, *extra, workers=workers)

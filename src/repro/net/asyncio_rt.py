@@ -116,13 +116,15 @@ class _FrameProtocol(asyncio.StreamReaderProtocol):
     inline, so a frame costs no reader-task wake-up.  Sends go through
     :attr:`writer`, a ``StreamWriter`` over this protocol, whose flow
     control backs ``drain()``.  ``inbound`` marks connections a peer
-    dialed to us; their writer becomes that peer's reverse channel.
+    dialed to us; their writer becomes that peer's reverse channel, and
+    ``src`` is the pid its frames come from.
     """
 
     def __init__(self, rt: "AsyncioRuntime", inbound: bool) -> None:
         super().__init__(None, loop=rt.loop)
         self.rt = rt
         self.inbound = inbound
+        self.src: Optional[int] = None
         self.writer: Optional[asyncio.StreamWriter] = None
         # Bytes of an incomplete frame: chunks so far, their total, and
         # the total the frame (or its length prefix) needs.
@@ -137,7 +139,17 @@ class _FrameProtocol(asyncio.StreamReaderProtocol):
         self.rt._transports.add(transport)
 
     def connection_lost(self, exc: Optional[Exception]) -> None:
-        self.rt._transports.discard(self.writer.transport)
+        rt = self.rt
+        writer = self.writer
+        rt._transports.discard(writer.transport)
+        src = self.src
+        # Forget the dialer unless a reconnect already took its reverse
+        # channel over; listed peers keep their last-seen time, which
+        # is what ``peer_suspected`` reads.
+        if src is not None and rt._inbound.get(src, writer) is writer:
+            rt._inbound.pop(src, None)
+            if src not in rt.peers:
+                rt._last_seen.pop(src, None)
         super().connection_lost(exc)
 
     def eof_received(self) -> bool:
@@ -528,6 +540,7 @@ class AsyncioRuntime(Runtime):
             # Remember the reverse channel; replies to a dialing-only
             # peer (a client) go back this way.
             self._inbound[src] = proto.writer
+            proto.src = src
         if msg.__class__ is Ping:
             return
         self._deliver_local(src, dst, msg)

@@ -144,10 +144,6 @@ class ClusterLauncher:
         self.start_one(pid)
         self.wait_ready([pid], timeout)
 
-    def alive(self, pid: int) -> bool:
-        proc = self.procs.get(pid)
-        return proc is not None and proc.poll() is None
-
     def stop(self) -> None:
         for proc in self.procs.values():
             if proc.poll() is None:
@@ -160,15 +156,6 @@ class ClusterLauncher:
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait(timeout=5)
-
-    def logs(self) -> str:
-        chunks = []
-        for pid, path in sorted(self.log_paths.items()):
-            try:
-                chunks.append(f"--- server {pid} ---\n{path.read_text()}")
-            except OSError:
-                pass
-        return "\n".join(chunks)
 
     def __enter__(self) -> "ClusterLauncher":
         return self.start()

@@ -186,10 +186,6 @@ class ControlPlane:
         assert kind == "reply", payload
         self._pending.pop(req_id).resolve(value)
 
-    @property
-    def pending_requests(self) -> int:
-        return len(self._pending)
-
     # ------------------------------------------------------------------
     # Handoff
     # ------------------------------------------------------------------

@@ -82,6 +82,39 @@ class TestLocalReads:
         assert sent.get("consensus", 0) == 0
         assert sent.get("client", 0) >= 2
 
+    def test_session_reads_scale_with_the_tier_at_zero_replication_cost(self):
+        # Two closed-loop session readers per holder over a 2 s window:
+        # at every tier size the consensus and lease traffic equals a
+        # quiet run's exactly, and served reads grow with the tier.
+        def session_reads(num_leaseholders, closed_loop):
+            cluster = ChtCluster(KVStoreSpec(), ChtConfig(n=5), seed=7,
+                                 num_clients=2 * num_leaseholders,
+                                 num_leaseholders=num_leaseholders)
+            cluster.start()
+            leader = cluster.run_until_leader()
+            cluster.execute(leader.pid, put("x", 0))
+            cluster.run(3 * cluster.config.lease_period)
+            cluster.net.reset_counters()
+
+            def spin(client):
+                client.submit(get("x")).on_resolve(lambda _: spin(client))
+
+            if closed_loop:
+                for client in cluster.clients:
+                    spin(client)
+            cluster.run(2_000.0)
+            sent = dict(cluster.net.sent_by_category())
+            return (len(cluster.stats.completed("read")),
+                    sent.get("consensus", 0), sent.get("lease", 0))
+
+        reads = {}
+        for count in (1, 2, 4):
+            busy = session_reads(count, closed_loop=True)
+            quiet = session_reads(count, closed_loop=False)
+            assert busy[1:] == quiet[1:], (count, busy, quiet)
+            reads[count] = busy[0]
+        assert reads[4] >= 0.7 * 4 * reads[1], reads
+
     def test_crashed_tier_falls_back_to_replicas(self):
         cluster = make_tiered(num_clients=1)
         for lh in cluster.leaseholders:

@@ -61,6 +61,9 @@ class TestConflictingReads:
             futures.append(lh.submit_read(get("hot")))
             cluster.run(15.0)
         cluster.run_until(lambda: all(f.done for f in futures))
+        assert any(t > 0.0 for t in cluster.stats.blocking_times("read")), (
+            "no read conflicted with a pending write"
+        )
         assert cluster.stats.max_blocking("read") <= 3 * cluster.config.delta
 
     def test_k_hat_rises_only_for_the_conflicting_key(self):

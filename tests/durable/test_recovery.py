@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.client import ChtCluster
 from repro.core.config import ChtConfig
+from repro.core.replica import ChtReplica
 from repro.durable import (ReplicaDurability, attach_memory_durability,
                            durable_audit)
 from repro.durable.disk import FileStorage
@@ -117,6 +118,40 @@ class TestRestartRebuild:
         replica._recover_from_storage()
         assert replica.estimate.k == 2
         assert replica.pending_batches == {2: est_ops}
+
+    def test_checkpoint_then_recover_bounds_replay_and_converges(
+            self, monkeypatch):
+        # Tighter snapshot cadence leaves a shorter WAL tail to replay; a
+        # follower recovered from snapshot + tail catches up to the
+        # leader exactly.
+        checkpoints = []
+        checkpoint = ChtReplica._durable_checkpoint
+
+        def counted(self):
+            checkpoints.append(self.pid)
+            checkpoint(self)
+
+        monkeypatch.setattr(ChtReplica, "_durable_checkpoint", counted)
+        wal_records = []
+        for interval in (0, 20, 5):
+            checkpoints.clear()
+            config = ChtConfig(n=3, compaction_interval=interval)
+            cluster = ChtCluster(KVStoreSpec(), config, seed=5,
+                                 durability=True)
+            cluster.start()
+            leader = cluster.run_until_leader()
+            for i in range(60):
+                cluster.execute(leader.pid, kv_increment(f"k{i % 8}"))
+            cluster.run(300.0)
+            victim = next(r for r in cluster.replicas if r.pid != leader.pid)
+            wal_records.append(victim.durable.storage.wal_records())
+            assert interval == 0 or checkpoints, interval
+            cluster.crash(victim.pid)
+            cluster.recover(victim.pid)
+            cluster.run(300.0)
+            assert victim.applied_upto == leader.applied_upto, interval
+            assert victim.state == leader.state, interval
+        assert wal_records == sorted(wal_records, reverse=True), wal_records
 
 
 class TestReplyCacheRecovery:

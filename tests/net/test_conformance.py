@@ -445,6 +445,49 @@ def test_reverse_channel_is_bounded_for_a_client_that_never_reads():
         rt.close()
 
 
+def test_disconnected_clients_are_forgotten_and_listed_peers_are_not():
+    port, peer_port = free_ports(2)
+    rt = AsyncioRuntime(0, peers={1: ("127.0.0.1", peer_port)},
+                        listen=("127.0.0.1", port), seed=42)
+    rt.start_background()
+    rt.build(lambda: Recorder(0, rt))
+
+    def dial(pid):
+        sock = socket.create_connection(("127.0.0.1", port))
+        sock.sendall(rt._encode(pid, 0, Ping()))
+        return sock
+
+    def until(predicate):
+        # Read the runtime's maps on its own loop thread.
+        deadline = time.monotonic() + 5.0
+        while not rt.call(predicate) and time.monotonic() < deadline:
+            time.sleep(0.005)
+        return rt.call(predicate)
+
+    try:
+        for client_pid in range(1000, 1050):
+            sock = dial(client_pid)
+            assert until(lambda: client_pid in rt._inbound)
+            sock.close()
+        assert until(lambda: not rt._inbound and not rt._last_seen)
+
+        # A listed peer redials before its old connection is gone: the
+        # old one's teardown must not drop the new reverse channel.
+        first = dial(1)
+        assert until(lambda: 1 in rt._inbound)
+        old = rt._inbound[1]
+        second = dial(1)
+        assert until(lambda: rt._inbound.get(1, old) is not old)
+        first.close()
+        assert until(lambda: old.transport not in rt._transports)
+        assert rt.call(lambda: rt._inbound[1] is not old)
+        second.close()
+        assert until(lambda: 1 not in rt._inbound)
+        assert 1 in rt._last_seen
+    finally:
+        rt.close()
+
+
 def test_frames_are_reassembled_and_bad_frames_are_counted():
     port = free_ports(1)[0]
     rt = AsyncioRuntime(0, peers={}, listen=("127.0.0.1", port), seed=42)

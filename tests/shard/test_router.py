@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.config import ChtConfig
 from repro.objects.kvstore import KVStoreSpec, get, increment, put, scan
-from repro.shard import ShardedCluster, WrongShard, freeze_op
+from repro.shard import ShardedCluster, WrongShard, freeze_op, slot_of
 from repro.shard.router import RoutingError
 
 KEY_IN_SLOT = {0: "k9", 1: "k0", 2: "k2", 3: "k3"}
@@ -234,3 +234,40 @@ def test_router_budget_error_does_not_break_later_ops():
     for op_id, attempts in healthy.items():
         effective = [r for _, r in attempts if not isinstance(r, WrongShard)]
         assert len(effective) == 1, (op_id, attempts)
+
+
+def test_four_groups_commit_at_least_two_and_a_half_times_one_group():
+    """Each group's leader caps a commit round at ``max_batch_size``
+    ops, so one group is a write bottleneck that sharding multiplies:
+    32 closed-loop writers over 16 distinct-slot keys, 1.2 s window."""
+    keys = {}
+    i = 0
+    while len(keys) < 16:
+        keys.setdefault(slot_of(f"key{i}", 16), f"key{i}")
+        i += 1
+
+    def committed(groups):
+        cluster = ShardedCluster(
+            KVStoreSpec(), ChtConfig(n=3, max_batch_size=4),
+            num_groups=groups, num_slots=16, seed=0, num_clients=32,
+            obs=False,
+        ).start()
+        cluster.run_until_leaders()
+        futures = []
+
+        def writer(router, key):
+            while True:
+                futures.append(router.submit(increment(key)))
+                yield futures[-1]
+
+        routers = [cluster.router(i) for i in range(32)]
+        for i, router in enumerate(routers):
+            cluster.control.host.spawn(writer(router, keys[i % 16]))
+        cluster.run(400.0)
+        before = sum(f.done for f in futures)
+        cluster.run(1_200.0)
+        assert all(r.redirects == 0 for r in routers)
+        return sum(f.done for f in futures) - before
+
+    one, four = committed(1), committed(4)
+    assert four >= 2.5 * one, (one, four)

@@ -1,26 +1,21 @@
 """The optimized engine is trace-equivalent to the pre-optimization one.
 
-``benchmarks/_legacy_engine.LegacySimulator`` reimplements the original
-event loop (dataclass events, flag cancellation, O(n) pending scan) behind
-the current API.  Running the full CHT stack on both engines with the same
-seed must produce byte-identical operation traces: identical op records,
-message counts, event counts, and final clock — the optimizations changed
-the engine's cost model, never its semantics.
+``_legacy_engine.LegacySimulator``, next to this file, reimplements the
+original event loop (dataclass events, flag cancellation, O(n) pending
+scan) behind the current API.  Running the full CHT stack on both
+engines with the same seed must produce byte-identical operation traces:
+identical op records, message counts, event counts, and final clock —
+the optimizations changed the engine's cost model, never its semantics.
 """
 
 from __future__ import annotations
-
-import sys
-from pathlib import Path
 
 import repro.core.client as client_mod
 from repro.core.config import ChtConfig
 from repro.objects.kvstore import KVStoreSpec, get, put
 from repro.sim.core import Simulator
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
-
-from _legacy_engine import LegacySimulator  # noqa: E402
+from ._legacy_engine import LegacySimulator
 
 
 def _run_cht_workload(sim_cls, seed: int):

@@ -1,6 +1,6 @@
 """Differential testing: the iterative engine vs the reference checker.
 
-``verify/_reference.py`` preserves the original Wing & Gong search
+``tests/verify/_reference.py`` preserves the original Wing & Gong search
 exactly as shipped.  These hypothesis suites generate random small
 histories — mixed pending/complete, single- and multi-key, linearizable
 and seeded-violation cases — and assert the new engine (iterative core +
@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 from repro.objects.kvstore import KVStoreSpec, delete, get, increment, put
 from repro.objects.register import RegisterSpec, cas, read, write
-from repro.verify._reference import check_linearizable_reference
 from repro.verify.history import History, HistoryEntry
 from repro.verify.linearizability import check_linearizable
+
+from ._reference import check_linearizable_reference
 
 REGISTER = RegisterSpec(initial=0)
 KV = KVStoreSpec()
